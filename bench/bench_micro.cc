@@ -176,34 +176,11 @@ void BM_AllReduceSerial(benchmark::State& state) {
 BENCHMARK(BM_AllReduceSerial)->Args({1 << 14, 4})->Args({1 << 18, 4})
     ->Args({1 << 20, 8})->Args({1 << 22, 8});
 
-void BM_HierarchicalAllReduce(benchmark::State& state) {
-  // Grouped (edge->cloud) collective: identical arithmetic, two-tier cost
-  // accounting — measures the topology layer's overhead over BM_AllReduce.
-  const size_t dim = static_cast<size_t>(state.range(0));
-  const int workers = static_cast<int>(state.range(1));
-  std::vector<std::vector<float>> buffers(static_cast<size_t>(workers));
-  std::vector<float*> pointers;
-  for (int k = 0; k < workers; ++k) {
-    buffers[static_cast<size_t>(k)] =
-        RandomVec(dim, 10 + static_cast<uint64_t>(k));
-    pointers.push_back(buffers[static_cast<size_t>(k)].data());
-  }
-  SimNetwork network(workers, HierarchicalNetworkModel::EdgeCloud(2),
-                     AllReduceAlgorithm::kFlat);
-  for (auto _ : state) {
-    network.AllReduceAverage(pointers, dim, TrafficClass::kModelSync);
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<int64_t>(dim * workers *
-                                               sizeof(float)));
-}
-BENCHMARK(BM_HierarchicalAllReduce)->Args({1 << 20, 8});
-
 void BM_TreeAllReduce(benchmark::State& state) {
   // Arbitrary-depth tree collective (3-tier device -> site -> cloud):
   // identical arithmetic again, recursive per-depth cost accounting —
-  // measures the TopologyTree layer's overhead over BM_AllReduce and
-  // BM_HierarchicalAllReduce.
+  // measures the TopologyTree layer's overhead over BM_AllReduce (the
+  // one-node tree).
   const size_t dim = static_cast<size_t>(state.range(0));
   const int workers = static_cast<int>(state.range(1));
   std::vector<std::vector<float>> buffers(static_cast<size_t>(workers));

@@ -50,6 +50,10 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
   std::unique_ptr<VarianceMonitor> monitor = std::move(monitor_or).value();
 
   SimNetwork network = MakeSimNetwork(config_);
+  // The fault and fleet layers group workers by leaf only on a configured
+  // topology; on a single-tier network every worker keeps its own link.
+  const TopologyTree* leaf_layout =
+      config_.topology.enabled() ? &network.tree() : nullptr;
 
   // The cohort: one shared graph, one arena holding every per-worker slab.
   // BuildWorkerCohort wires worker.state because the monitor scratch is
@@ -78,8 +82,7 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
   std::unique_ptr<FaultInjector> injector;
   if (config_.faults.enabled()) {
     injector = std::make_unique<FaultInjector>(
-        config_.faults, config_.num_workers, config_.seed,
-        network.tree().enabled() ? &network.tree() : nullptr);
+        config_.faults, config_.num_workers, config_.seed, leaf_layout);
   }
   std::vector<char> worker_up(static_cast<size_t>(config_.num_workers), 1);
 
@@ -103,8 +106,7 @@ StatusOr<AsyncTrainResult> AsyncFdaTrainer::Run() {
     store_config.dim = dim_;
     store_config.opt_state_slots = config_.local_optimizer.StateSlots();
     store_config.seed = config_.seed;
-    store = std::make_unique<ClientStateStore>(
-        store_config, network.tree().enabled() ? &network.tree() : nullptr);
+    store = std::make_unique<ClientStateStore>(store_config, leaf_layout);
     store->SetStateSize(monitor->StateSize());
     cohort_sampler = std::make_unique<CohortSampler>(
         store.get(), config_.cohort_schedule, config_.seed);

@@ -56,8 +56,8 @@ class FdaSyncPolicy : public SyncPolicy {
   std::vector<double> estimate_history_;
 };
 
-/// Topology-aware FDA scheduling over a TopologyTree (requires
-/// TrainerConfig::topology or ::hierarchy). Per step:
+/// Topology-aware FDA scheduling over the network's TopologyTree
+/// (TrainerConfig::topology), one threshold per tier depth. Per step:
 ///
 ///   1. every worker computes its local state from its drift u_k = w_k -
 ///      w_t0 (the *global* sync anchor — cluster-local averaging never

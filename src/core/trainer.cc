@@ -296,15 +296,11 @@ void SetLinkFactorsFromWorkers(const std::vector<WorkerState>& workers,
 }
 
 SimNetwork MakeSimNetwork(const TrainerConfig& config) {
-  if (config.topology.enabled()) {
-    return SimNetwork(config.num_workers, config.topology,
-                      config.allreduce);
-  }
-  if (config.hierarchy.enabled()) {
-    return SimNetwork(config.num_workers, config.hierarchy,
-                      config.allreduce);
-  }
-  return SimNetwork(config.num_workers, config.network, config.allreduce);
+  return SimNetwork(config.num_workers,
+                    config.topology.enabled()
+                        ? config.topology
+                        : TopologyTree::SingleTier(config.network),
+                    config.allreduce);
 }
 
 Status TrainerConfig::Validate() const {
@@ -320,23 +316,14 @@ Status TrainerConfig::Validate() const {
   if (fedprox_mu < 0.0f) {
     return Status::InvalidArgument("fedprox_mu must be >= 0");
   }
-  if (hierarchy.enabled() && hierarchy.num_clusters > num_workers) {
-    return Status::InvalidArgument(
-        "hierarchy.num_clusters must be <= num_workers");
-  }
-  if (hierarchy.enabled() && !hierarchy.cluster_intra.empty() &&
-      hierarchy.cluster_intra.size() !=
-          static_cast<size_t>(hierarchy.num_clusters)) {
-    return Status::InvalidArgument(
-        "hierarchy.cluster_intra must have one NetworkModel per cluster");
-  }
   if (topology.enabled()) {
-    if (hierarchy.enabled()) {
-      return Status::InvalidArgument(
-          "set only one of topology and hierarchy (the two-tier hierarchy "
-          "is a depth-2 topology)");
-    }
     FEDRA_RETURN_IF_ERROR(topology.Validate());
+    if (topology.num_leaf_groups() > num_workers) {
+      return Status::InvalidArgument(StrFormat(
+          "topology has %d leaf groups but num_workers is %d: every leaf "
+          "group needs a worker",
+          topology.num_leaf_groups(), num_workers));
+    }
   }
   FEDRA_RETURN_IF_ERROR(local_optimizer.Validate());
   FEDRA_RETURN_IF_ERROR(partition.Validate());
@@ -478,6 +465,10 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
 
   std::vector<WorkerState> workers;
   SimNetwork network = MakeSimNetwork(config_);
+  // The fault and fleet layers group workers by leaf only on a configured
+  // topology; on a single-tier network every worker keeps its own link.
+  const TopologyTree* leaf_layout =
+      config_.topology.enabled() ? &network.tree() : nullptr;
   // One params slab + one grads slab + one optimizer-state slab for the
   // whole cohort; the shared layer graph lives in shared_model_.
   WorkerArena arena(config_.num_workers, dim_,
@@ -530,8 +521,7 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     store_config.dim = dim_;
     store_config.opt_state_slots = config_.local_optimizer.StateSlots();
     store_config.seed = config_.seed;
-    store = std::make_unique<ClientStateStore>(
-        store_config, network.tree().enabled() ? &network.tree() : nullptr);
+    store = std::make_unique<ClientStateStore>(store_config, leaf_layout);
     cohort_sampler = std::make_unique<CohortSampler>(
         store.get(), config_.cohort_schedule, config_.seed);
     auto shards = PartitionDataset(train_.labels(), config_.num_workers,
@@ -568,8 +558,8 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
       // and the chains are bit-identical.
       std::vector<int> client_links(config_.population);
       int num_links;
-      if (network.tree().enabled()) {
-        num_links = network.tree().num_leaf_groups();
+      if (leaf_layout != nullptr) {
+        num_links = leaf_layout->num_leaf_groups();
         for (size_t c = 0; c < config_.population; ++c) {
           client_links[c] =
               store->LeafGroupOfClient(static_cast<uint32_t>(c));
@@ -585,8 +575,7 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
           config_.seed, std::move(client_links), num_links);
     } else {
       injector = std::make_unique<FaultInjector>(
-          config_.faults, config_.num_workers, config_.seed,
-          network.tree().enabled() ? &network.tree() : nullptr);
+          config_.faults, config_.num_workers, config_.seed, leaf_layout);
     }
     ctx.faults = injector.get();
     participation.assign(workers.size(), 1);

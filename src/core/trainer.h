@@ -140,17 +140,15 @@ struct TrainerConfig {
   size_t eval_every_steps = 0;   // 0 => once per local epoch
   size_t eval_subset = 1024;     // test samples per evaluation probe
 
+  /// The single shared channel, used when `topology` is disabled.
   NetworkModel network = NetworkModel::Hpc();
+  /// The AllReduce algorithm of the root tier (of the one shared channel
+  /// on a single-tier network).
   AllReduceAlgorithm allreduce = AllReduceAlgorithm::kFlat;
-  /// When enabled (num_clusters > 0), collectives run grouped over the
-  /// two-tier topology and `network` is ignored; `allreduce` becomes the
-  /// cross-cluster algorithm the leaders use over the uplink.
-  HierarchicalNetworkModel hierarchy = HierarchicalNetworkModel::None();
-  /// Arbitrary-depth topology (device -> site -> cloud and deeper). When
-  /// enabled, collectives run the tree's recursive grouped schedule,
-  /// `network` is ignored, and `allreduce` becomes the root-tier
-  /// algorithm. Mutually exclusive with `hierarchy` (which is the depth-2
-  /// special case).
+  /// Multi-tier topology: the two-tier edge -> cloud layout
+  /// (TopologyTree::EdgeCloud) or deeper trees (device -> site -> cloud).
+  /// When enabled, collectives run the tree's recursive grouped schedule
+  /// and `network` is ignored. Every leaf group needs at least one worker.
   TopologyTree topology;
   StragglerModel straggler = StragglerModel::None();
   /// Fault injection: worker churn, link outages, sync-message loss, and
@@ -196,10 +194,10 @@ struct TrainerConfig {
   Status Validate() const;
 };
 
-/// Builds the SimNetwork a TrainerConfig describes: the arbitrary-depth
-/// tree when `topology` is enabled, grouped two-tier collectives when
-/// `hierarchy` is, single-tier otherwise. Shared by the synchronous and
-/// async trainers so topology selection cannot diverge between them.
+/// Builds the SimNetwork a TrainerConfig describes: over `topology` when it
+/// is enabled, over TopologyTree::SingleTier(network) otherwise. Shared by
+/// the synchronous and async trainers so topology selection cannot diverge
+/// between them.
 SimNetwork MakeSimNetwork(const TrainerConfig& config);
 
 /// Feeds the workers' persistent straggler speed factors into the

@@ -80,21 +80,8 @@ void ReduceMeanInto(const float* const* srcs, size_t num_srcs, size_t n,
 
 SimNetwork::SimNetwork(int num_workers, NetworkModel model,
                        AllReduceAlgorithm algorithm)
-    : num_workers_(num_workers),
-      model_(std::move(model)),
-      algorithm_(algorithm) {
-  FEDRA_CHECK_GT(num_workers, 0);
-}
-
-SimNetwork::SimNetwork(int num_workers, HierarchicalNetworkModel hierarchy,
-                       AllReduceAlgorithm cross_algorithm)
-    : num_workers_(num_workers),
-      hierarchy_(std::move(hierarchy)),
-      algorithm_(cross_algorithm) {
-  FEDRA_CHECK_GT(num_workers, 0);
-  FEDRA_CHECK(hierarchy_.enabled());
-  tree_ = TopologyTree::FromHierarchy(hierarchy_);
-}
+    : SimNetwork(num_workers, TopologyTree::SingleTier(std::move(model)),
+                 algorithm) {}
 
 SimNetwork::SimNetwork(int num_workers, TopologyTree tree,
                        AllReduceAlgorithm root_algorithm)
@@ -102,7 +89,6 @@ SimNetwork::SimNetwork(int num_workers, TopologyTree tree,
       tree_(std::move(tree)),
       algorithm_(root_algorithm) {
   FEDRA_CHECK_GT(num_workers, 0);
-  FEDRA_CHECK(tree_.enabled());
 }
 
 void SimNetwork::SetWorkerLinkFactors(std::vector<double> factors) {
@@ -113,57 +99,36 @@ void SimNetwork::SetWorkerLinkFactors(std::vector<double> factors) {
   worker_link_factors_ = std::move(factors);
 }
 
-double SimNetwork::SlowestLinkFactor() const {
-  double max_factor = 1.0;
-  for (double factor : worker_link_factors_) {
-    max_factor = std::max(max_factor, factor);
-  }
-  return max_factor;
-}
-
 const std::vector<double>* SimNetwork::LinkFactorsOrNull() const {
   return worker_link_factors_.empty() ? nullptr : &worker_link_factors_;
 }
 
-NetworkModel SimNetwork::EffectiveModel() const {
-  NetworkModel effective = model_;
-  effective.bandwidth_bytes_per_sec /= SlowestLinkFactor();
-  return effective;
+double SimNetwork::WorkerLinkFactor(int worker) const {
+  if (worker < 0 || worker_link_factors_.empty()) {
+    return 1.0;
+  }
+  FEDRA_CHECK_LT(worker, num_workers_);
+  return worker_link_factors_[static_cast<size_t>(worker)];
 }
 
-void SimNetwork::ChargeFlat(size_t bytes, double seconds,
-                            TrafficClass traffic) {
-  stats_.bytes_total += bytes;
-  stats_.comm_seconds += seconds;
-  stats_.seconds_uplink += seconds;
-  stats_.ChargeDepth(0, bytes, seconds);
-  if (traffic == TrafficClass::kLocalState) {
-    stats_.bytes_local_state += bytes;
-    stats_.seconds_local_state += seconds;
-  } else {
-    stats_.bytes_model_sync += bytes;
-    stats_.seconds_model_sync += seconds;
-  }
+int SimNetwork::LeafGroupOf(int worker) const {
+  return worker >= 0 ? tree_.LeafGroupOfWorker(worker, num_workers_) : 0;
 }
 
 void SimNetwork::ChargeTree(const TreeCost& cost, TrafficClass traffic) {
-  // Accumulate intra (deeper tiers) before the uplink (root tier) in the
-  // exact summation order the legacy two-tier Charge used, so depth-2
-  // charges stay bit-identical.
-  double intra_seconds = 0.0;
-  uint64_t intra_bytes = 0;
+  // Deeper tiers first, then the root tier: the summation order every
+  // recorded total was produced in (a single-tier charge is its depth-0
+  // seconds exactly).
+  double seconds = 0.0;
+  uint64_t bytes = 0;
   for (size_t d = 1; d < cost.seconds_by_depth.size(); ++d) {
-    intra_seconds += cost.seconds_by_depth[d];
-    intra_bytes += cost.bytes_by_depth[d];
+    seconds += cost.seconds_by_depth[d];
+    bytes += cost.bytes_by_depth[d];
   }
-  const double uplink_seconds = cost.SecondsAt(0);
-  const uint64_t uplink_bytes = cost.BytesAt(0);
-  const uint64_t bytes = intra_bytes + uplink_bytes;
-  const double seconds = intra_seconds + uplink_seconds;
+  seconds += cost.SecondsAt(0);
+  bytes += cost.BytesAt(0);
   stats_.bytes_total += bytes;
   stats_.comm_seconds += seconds;
-  stats_.seconds_intra += intra_seconds;
-  stats_.seconds_uplink += uplink_seconds;
   for (size_t d = 0; d < cost.seconds_by_depth.size(); ++d) {
     stats_.ChargeDepth(d, cost.bytes_by_depth[d],
                        cost.seconds_by_depth[d]);
@@ -190,21 +155,9 @@ void SimNetwork::AccountAllReduce(size_t payload_bytes_sum,
   // from their exact sum, never a truncated per-worker quotient.
   const double per_worker = static_cast<double>(payload_bytes_sum) /
                             static_cast<double>(num_workers_);
-  if (tree_.enabled()) {
-    ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_,
-                                          algorithm_, LinkFactorsOrNull()),
-               traffic);
-    return;
-  }
-  const size_t total_bytes = static_cast<size_t>(
-      std::llround(NetworkModel::AllReduceTotalBytesFromSum(
-          static_cast<double>(payload_bytes_sum), num_workers_,
-          algorithm_)));
-  // Slowest-link formula: every worker participates, so the collective is
-  // paced by the slowest participant's channel.
-  const double seconds =
-      EffectiveModel().AllReduceSeconds(per_worker, num_workers_, algorithm_);
-  ChargeFlat(total_bytes, seconds, traffic);
+  ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_, algorithm_,
+                                        LinkFactorsOrNull()),
+             traffic);
 }
 
 void SimNetwork::ReduceMeanIntoAll(const std::vector<float*>& buffers,
@@ -298,34 +251,13 @@ void SimNetwork::AccountAllReduceSubset(size_t payload_bytes_sum,
   }
   const double per_worker =
       static_cast<double>(payload_bytes_sum) / static_cast<double>(m);
-  if (tree_.enabled()) {
-    active_scratch_.assign(static_cast<size_t>(num_workers_), 0);
-    for (int worker : participants) {
-      active_scratch_[static_cast<size_t>(worker)] = 1;
-    }
-    ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_,
-                                          algorithm_, LinkFactorsOrNull(),
-                                          &active_scratch_),
-               traffic);
-    return;
+  active_scratch_.assign(static_cast<size_t>(num_workers_), 0);
+  for (int worker : participants) {
+    active_scratch_[static_cast<size_t>(worker)] = 1;
   }
-  const size_t total_bytes = static_cast<size_t>(
-      std::llround(NetworkModel::AllReduceTotalBytesFromSum(
-          static_cast<double>(payload_bytes_sum), static_cast<int>(m),
-          algorithm_)));
-  // Paced by the slowest *participating* link only.
-  double slowest = 1.0;
-  if (!worker_link_factors_.empty()) {
-    for (int worker : participants) {
-      slowest = std::max(slowest,
-                         worker_link_factors_[static_cast<size_t>(worker)]);
-    }
-  }
-  NetworkModel effective = model_;
-  effective.bandwidth_bytes_per_sec /= slowest;
-  const double seconds = effective.AllReduceSeconds(
-      per_worker, static_cast<int>(m), algorithm_);
-  ChargeFlat(total_bytes, seconds, traffic);
+  ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_, algorithm_,
+                                        LinkFactorsOrNull(), &active_scratch_),
+             traffic);
 }
 
 void SimNetwork::AllReduceAverageSubset(const std::vector<float*>& buffers,
@@ -388,51 +320,22 @@ void SimNetwork::Broadcast(const std::vector<float*>& buffers, size_t n,
   if (num_workers_ == 1) {
     return;
   }
-  const size_t payload = n * sizeof(float);
-  if (tree_.enabled()) {
-    ChargeTree(tree_.BroadcastCost(payload, num_workers_,
-                                   LinkFactorsOrNull()),
-               traffic);
-    return;
-  }
-  // K-1 transfers through the root's shared channel, paced by the slowest
-  // participating link.
-  const NetworkModel effective = EffectiveModel();
-  const size_t total = payload * static_cast<size_t>(num_workers_ - 1);
-  const double seconds =
-      effective.latency_seconds +
-      static_cast<double>(total) / effective.bandwidth_bytes_per_sec;
-  ChargeFlat(total, seconds, traffic);
+  ChargeTree(tree_.BroadcastCost(n * sizeof(float), num_workers_,
+                                 LinkFactorsOrNull()),
+             traffic);
 }
 
 void SimNetwork::PointToPoint(size_t n, TrafficClass traffic, int worker) {
   ++stats_.p2p_calls;
-  const size_t payload = n * sizeof(float);
-  double factor = 1.0;
-  if (worker >= 0 && !worker_link_factors_.empty()) {
-    FEDRA_CHECK_LT(worker, num_workers_);
-    factor = worker_link_factors_[static_cast<size_t>(worker)];
-  }
-  if (tree_.enabled()) {
-    const int leaf_group =
-        worker >= 0 ? tree_.LeafGroupOfWorker(worker, num_workers_) : 0;
-    ChargeTree(tree_.PointToPointCost(payload, num_workers_, leaf_group,
-                                      std::max(1.0, factor)),
-               traffic);
-    return;
-  }
-  const double seconds =
-      model_.latency_seconds +
-      static_cast<double>(payload) / (model_.bandwidth_bytes_per_sec /
-                                      factor);
-  ChargeFlat(payload, seconds, traffic);
+  ChargeTree(tree_.PointToPointCost(n * sizeof(float), num_workers_,
+                                    LeafGroupOf(worker),
+                                    WorkerLinkFactor(worker)),
+             traffic);
 }
 
 void SimNetwork::SubtreeAllReduceAverage(int node_id,
                                          const std::vector<float*>& buffers,
                                          size_t n, TrafficClass traffic) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
   int begin = 0;
   int end = 0;
   tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
@@ -454,8 +357,6 @@ void SimNetwork::SubtreeAllReduceAverage(int node_id,
 void SimNetwork::SubtreeAllReduceAverageSubset(
     int node_id, const std::vector<float*>& buffers,
     const std::vector<char>& active, size_t n, TrafficClass traffic) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
   FEDRA_CHECK_EQ(active.size(), static_cast<size_t>(num_workers_));
   int begin = 0;
   int end = 0;
@@ -482,8 +383,6 @@ void SimNetwork::SubtreeAllReduceAverageSubset(
 void SimNetwork::SubtreeAllReduceAverageWithPayloads(
     int node_id, const std::vector<float*>& buffers, size_t n,
     const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
   FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
   int begin = 0;
   int end = 0;
@@ -502,7 +401,7 @@ void SimNetwork::SubtreeAllReduceAverageWithPayloads(
   for (size_t bytes : payload_bytes) {
     sum += bytes;
   }
-  // Mean wire size in double, as the flat payload collectives bill it.
+  // Mean wire size in double, as the global payload collectives bill it.
   const double per_member =
       static_cast<double>(sum) / static_cast<double>(buffers.size());
   ChargeTree(tree_.SubtreeSyncCost(node_id, per_member, num_workers_,
@@ -514,8 +413,6 @@ void SimNetwork::SubtreeAllReduceAverageSubsetWithPayloads(
     int node_id, const std::vector<float*>& buffers,
     const std::vector<char>& active, size_t n,
     const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  FEDRA_CHECK(tree_.enabled())
-      << "subtree collectives need a tree topology";
   FEDRA_CHECK_EQ(active.size(), static_cast<size_t>(num_workers_));
   FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
   int begin = 0;
@@ -560,38 +457,19 @@ void SimNetwork::AccountSyncRetriesBytes(int worker, size_t payload_bytes,
   if (retries <= 0) {
     return;
   }
-  const size_t payload = payload_bytes;
-  double factor = 1.0;
-  if (worker >= 0 && !worker_link_factors_.empty()) {
-    FEDRA_CHECK_LT(worker, num_workers_);
-    factor = worker_link_factors_[static_cast<size_t>(worker)];
-  }
+  const int leaf_group = LeafGroupOf(worker);
+  const double factor = WorkerLinkFactor(worker);
   for (int attempt = 0; attempt < retries; ++attempt) {
     // Exponential backoff before retry i, then one retransmission over the
-    // worker's own path. Backoff stalls the worker's edge link, so it is
-    // attributed to the deepest tier of the path — every breakdown (class,
-    // tier, depth) keeps summing to comm_seconds.
-    const double backoff = std::ldexp(backoff_base_seconds, attempt);
+    // worker's own path. Backoff stalls the worker's leaf-tier link, so it
+    // is billed on that tier ahead of the transfer — every breakdown (class,
+    // depth) keeps summing to comm_seconds.
+    const TreeCost cost = tree_.PointToPointCost(
+        payload_bytes, num_workers_, leaf_group, factor,
+        std::ldexp(backoff_base_seconds, attempt));
     ++stats_.retries;
-    if (tree_.enabled()) {
-      const int leaf_group =
-          worker >= 0 ? tree_.LeafGroupOfWorker(worker, num_workers_) : 0;
-      TreeCost cost = tree_.PointToPointCost(payload, num_workers_,
-                                             leaf_group,
-                                             std::max(1.0, factor));
-      const size_t edge = static_cast<size_t>(
-          tree_.node(tree_.NodeOfLeafGroup(leaf_group)).depth);
-      cost.seconds_by_depth[edge] += backoff;
-      stats_.seconds_retry += cost.total_seconds();
-      ChargeTree(cost, traffic);
-    } else {
-      const double seconds =
-          backoff + model_.latency_seconds +
-          static_cast<double>(payload) /
-              (model_.bandwidth_bytes_per_sec / factor);
-      stats_.seconds_retry += seconds;
-      ChargeFlat(payload, seconds, traffic);
-    }
+    stats_.seconds_retry += cost.total_seconds();
+    ChargeTree(cost, traffic);
   }
 }
 
@@ -610,8 +488,6 @@ void SimNetwork::AccountCheckInSync(size_t n, int worker) {
 void SimNetwork::AccountChildExchange(int node_id, size_t n,
                                       TrafficClass traffic,
                                       const std::vector<char>* active) {
-  FEDRA_CHECK(tree_.enabled())
-      << "child exchanges need a tree topology";
   ++stats_.child_exchange_calls;
   ChargeTree(tree_.ChildExchangeCost(node_id, n * sizeof(float),
                                      num_workers_, LinkFactorsOrNull(),
@@ -620,17 +496,10 @@ void SimNetwork::AccountChildExchange(int node_id, size_t n,
 }
 
 double SimNetwork::ModelSyncSeconds(size_t payload_bytes) const {
-  if (num_workers_ == 1) {
-    return 0.0;
-  }
-  if (tree_.enabled()) {
-    return tree_
-        .GroupedAllReduceCost(payload_bytes, num_workers_, algorithm_,
-                              LinkFactorsOrNull())
-        .total_seconds();
-  }
-  return EffectiveModel().AllReduceSeconds(payload_bytes, num_workers_,
-                                           algorithm_);
+  return tree_
+      .GroupedAllReduceCost(payload_bytes, num_workers_, algorithm_,
+                            LinkFactorsOrNull())
+      .total_seconds();
 }
 
 }  // namespace fedra

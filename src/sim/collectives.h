@@ -11,12 +11,13 @@
 // Chunk boundaries depend only on the span length, so results are
 // bit-deterministic for any thread count.
 //
-// Topologies: single-tier (one shared NetworkModel), the legacy two-tier
-// HierarchicalNetworkModel (internally a depth-2 TopologyTree), or an
-// arbitrary-depth TopologyTree (device -> site -> cloud and deeper). Tree
-// networks additionally expose cluster-scoped collectives — AllReduces
-// confined to one subtree, billed only on that subtree's tiers — which the
-// hierarchical FDA scheduler uses to keep drift control on the cheap tiers.
+// Topology: every network is a TopologyTree — the single-tier network (one
+// shared NetworkModel) is the one-node tree, the edge -> cloud layout a
+// depth-2 tree, and device -> site -> cloud and deeper are just more tiers.
+// Collectives run the tree's grouped schedule and CommStats carries the
+// per-depth breakdown. Cluster-scoped collectives — AllReduces confined to
+// one subtree, billed only on that subtree's tiers — let the hierarchical
+// FDA scheduler keep drift control on the cheap tiers.
 
 #ifndef FEDRA_SIM_COLLECTIVES_H_
 #define FEDRA_SIM_COLLECTIVES_H_
@@ -39,42 +40,29 @@ void ReduceMeanInto(const float* const* srcs, size_t num_srcs, size_t n,
 
 class SimNetwork {
  public:
-  /// Single-tier topology: every collective is costed by `model` under
-  /// `algorithm`.
+  /// Single-tier topology: TopologyTree::SingleTier(model).
   SimNetwork(int num_workers, NetworkModel model,
              AllReduceAlgorithm algorithm);
 
-  /// Two-tier topology (legacy config surface): collectives run grouped
-  /// over the depth-2 tree the hierarchy describes; `cross_algorithm` is
-  /// the algorithm the cluster leaders use over the uplink.
-  SimNetwork(int num_workers, HierarchicalNetworkModel hierarchy,
-             AllReduceAlgorithm cross_algorithm);
-
-  /// Arbitrary-depth topology: collectives run the tree's recursive
-  /// grouped schedule (level-synchronized reduce-up, root-tier AllReduce
-  /// under `root_algorithm`, broadcast-down) and CommStats carries a
-  /// per-depth breakdown.
+  /// Collectives run the tree's recursive grouped schedule
+  /// (level-synchronized reduce-up, root-tier AllReduce under
+  /// `root_algorithm`, broadcast-down). `tree` must be enabled (the tree's
+  /// cost functions check it).
   SimNetwork(int num_workers, TopologyTree tree,
              AllReduceAlgorithm root_algorithm);
 
   int num_workers() const { return num_workers_; }
-  const NetworkModel& network_model() const { return model_; }
   AllReduceAlgorithm algorithm() const { return algorithm_; }
-  /// True for any tree-shaped topology (two-tier hierarchy included).
-  bool hierarchical() const { return tree_.enabled(); }
-  const HierarchicalNetworkModel& hierarchy() const { return hierarchy_; }
-  /// The topology tree (disabled for single-tier networks). Two-tier
-  /// configs appear here as their depth-2 tree.
   const TopologyTree& tree() const { return tree_; }
 
   /// Straggler-aware collective cost: per-worker link-speed factors (>= 1,
   /// e.g. the trainer's persistent straggler speed factors). When set,
-  /// grouped and flat collectives bill the *slowest participating link* —
-  /// single-tier collectives divide the channel bandwidth by the slowest
-  /// participant's factor; grouped collectives pace each gather phase by
-  /// the slowest member of that subtree and each cross tier by the slowest
-  /// participating representative. Bytes are unaffected. All-ones (or
-  /// never calling this) keeps the homogeneous formulas bit-identical.
+  /// collectives bill the *slowest participating link*: each gather phase
+  /// is paced by the slowest member of that subtree and each cross tier by
+  /// the slowest participating representative (a single-tier network
+  /// divides its channel bandwidth by the slowest participant's factor).
+  /// Bytes are unaffected. All-ones (or never calling this) keeps the
+  /// homogeneous formulas bit-identical.
   void SetWorkerLinkFactors(std::vector<double> factors);
   const std::vector<double>& worker_link_factors() const {
     return worker_link_factors_;
@@ -111,10 +99,10 @@ class SimNetwork {
   // `participants` are ascending, unique worker ids; buffers[i] is
   // participants[i]'s span. The mean over the participants installs into
   // their buffers only — absent workers transmit and receive nothing and
-  // keep their state. Cost is billed for the participant count: flat
-  // topologies pace on the slowest *participating* link, trees drop empty
-  // groups from every phase. A full participant list is bit-identical to
-  // the unmasked collective.
+  // keep their state. Cost is billed for the participant count: phases
+  // pace on the slowest *participating* link and empty groups drop out of
+  // every phase. A full participant list is bit-identical to the unmasked
+  // collective.
 
   /// Partial-participation AllReduceAverage.
   void AllReduceAverageSubset(const std::vector<float*>& buffers,
@@ -140,7 +128,7 @@ class SimNetwork {
   /// Partial-participation SubtreeAllReduceAverage: `active` is the
   /// full-length per-worker mask and `buffers` are the spans of the
   /// subtree's *active* members in worker order (size must equal the
-  /// active count within the subtree's span). Tree topologies only.
+  /// active count within the subtree's span).
   void SubtreeAllReduceAverageSubset(int node_id,
                                      const std::vector<float*>& buffers,
                                      const std::vector<char>& active,
@@ -149,8 +137,10 @@ class SimNetwork {
   /// Bills `retries` retransmissions of one lost n-float sync contribution
   /// from `worker`: retry i waits backoff_base_seconds * 2^i and resends
   /// the payload over the worker's own path (its link factor; one hop per
-  /// tier under a tree). Every second and byte lands in the normal
-  /// class/tier/depth breakdowns and is additionally accumulated in
+  /// tier). The backoff stalls the worker's leaf-tier link and is billed
+  /// there as backoff + latency + bytes / bandwidth, the single-tier
+  /// closed form. Every second and byte lands in the normal class and
+  /// depth breakdowns and is additionally accumulated in
   /// CommStats::seconds_retry / retries.
   void AccountSyncRetries(int worker, size_t n, int retries,
                           double backoff_base_seconds, TrafficClass traffic);
@@ -187,10 +177,9 @@ class SimNetwork {
 
   /// One worker uploads `n` floats to a coordinator (async FDA traffic).
   /// Passing the uploading `worker` bills *that* worker's link: its
-  /// straggler factor (when SetWorkerLinkFactors is active) and, under a
-  /// tree topology, one hop per tier on the path from its leaf group to
-  /// the root. worker < 0 takes leaf group 0's path (the homogeneous
-  /// default links).
+  /// straggler factor (when SetWorkerLinkFactors is active) and one hop
+  /// per tier on the path from its leaf group to the root. worker < 0
+  /// takes leaf group 0's path (the homogeneous default links).
   void PointToPoint(size_t n, TrafficClass traffic, int worker = -1);
 
   /// Cluster-scoped AllReduce-average confined to node `node_id`'s subtree
@@ -200,7 +189,7 @@ class SimNetwork {
   /// along the subtree's own tiers only — tiers above `node_id` carry
   /// nothing (the hierarchical scheduler's cheap local averaging). Counts
   /// as a subtree_allreduce_calls entry, and as subtree_sync_count (never
-  /// model_sync_count) when `traffic` is kModelSync. Tree topologies only.
+  /// model_sync_count) when `traffic` is kModelSync.
   void SubtreeAllReduceAverage(int node_id,
                                const std::vector<float*>& buffers, size_t n,
                                TrafficClass traffic);
@@ -208,14 +197,14 @@ class SimNetwork {
   /// SubtreeAllReduceAverage billed at per-member wire sizes:
   /// payload_bytes[i] is buffers[i]'s compressed payload (the subtree's
   /// members in worker order) — the hierarchical scheduler's compressed
-  /// cluster-local model averaging. Tree topologies only.
+  /// cluster-local model averaging.
   void SubtreeAllReduceAverageWithPayloads(
       int node_id, const std::vector<float*>& buffers, size_t n,
       const std::vector<size_t>& payload_bytes, TrafficClass traffic);
 
   /// Partial-participation SubtreeAllReduceAverageWithPayloads:
   /// payload_bytes[i] belongs to the i-th *active* member (the order of
-  /// `buffers`). Tree topologies only.
+  /// `buffers`).
   void SubtreeAllReduceAverageSubsetWithPayloads(
       int node_id, const std::vector<float*>& buffers,
       const std::vector<char>& active, size_t n,
@@ -225,9 +214,9 @@ class SimNetwork {
   /// child representatives gather `n` floats to the node's representative
   /// and receive the aggregate back, over that node's link only. No
   /// arithmetic — the scheduler aggregates the states itself. Counts as a
-  /// child_exchange_calls entry. Tree topologies only. `active` (optional
-  /// full-length per-worker mask) drops children whose subtrees hold no
-  /// active workers from the exchange; null is identical to all-ones.
+  /// child_exchange_calls entry. `active` (optional full-length per-worker
+  /// mask) drops children whose subtrees hold no active workers from the
+  /// exchange; null is identical to all-ones.
   void AccountChildExchange(int node_id, size_t n, TrafficClass traffic,
                             const std::vector<char>* active = nullptr);
 
@@ -257,27 +246,18 @@ class SimNetwork {
   // Validates a subset participant list (ascending, unique, in range).
   void CheckParticipants(const std::vector<int>& participants,
                          size_t num_buffers) const;
-  // Splits a single-tier charge across the class/tier/depth breakdowns
-  // (the one shared channel is the uplink tier at depth 0).
-  void ChargeFlat(size_t bytes, double seconds, TrafficClass traffic);
-  // Splits a per-depth tree charge across the class/tier/depth breakdowns
-  // (depth 0 -> uplink, deeper tiers -> intra).
+  // Splits a per-depth tree charge across the class and depth breakdowns.
   void ChargeTree(const TreeCost& cost, TrafficClass traffic);
-  // Slowest participating link factor (1.0 when factors are unset).
-  double SlowestLinkFactor() const;
-  // The single-tier model with its bandwidth divided by the slowest
-  // participating link factor — the one place the slowest-link scaling is
-  // applied, so AllReduce, Broadcast, and ModelSyncSeconds stay in step.
-  NetworkModel EffectiveModel() const;
+  // The worker's straggler factor (1.0 for worker < 0 or unset factors).
+  double WorkerLinkFactor(int worker) const;
+  // The worker's leaf group (0 for worker < 0).
+  int LeafGroupOf(int worker) const;
   // The worker-factor vector to hand the tree cost model, or null when
   // unset (homogeneous links).
   const std::vector<double>* LinkFactorsOrNull() const;
 
   int num_workers_;
-  NetworkModel model_;
-  HierarchicalNetworkModel hierarchy_;  // legacy config echo (may be
-                                        // disabled for direct tree configs)
-  TopologyTree tree_;  // disabled for single-tier networks
+  TopologyTree tree_;
   AllReduceAlgorithm algorithm_;
   CommStats stats_;
   std::vector<double> weight_scratch_;  // normalized weights per call

@@ -10,8 +10,8 @@ namespace fedra {
 
 namespace {
 
-// A worker's link slowdown (1.0 without factors). Mirrors the legacy
-// MaxLinkFactor floor: factors never speed a link up.
+// A worker's link slowdown (1.0 without factors). Factors never speed a
+// link up.
 double WorkerFactor(const std::vector<double>* factors, int worker) {
   if (factors == nullptr) {
     return 1.0;
@@ -23,8 +23,8 @@ double WorkerFactor(const std::vector<double>* factors, int worker) {
 }  // namespace
 
 double TreeCost::total_seconds() const {
-  // Deepest tier first: the legacy two-tier code summed intra before
-  // uplink, and matching that order keeps depth-2 totals bit-identical.
+  // Deepest tier first. Up to depth 3 this equals SimNetwork's charge
+  // order (deeper tiers, then the root) bit for bit.
   double total = 0.0;
   for (size_t d = seconds_by_depth.size(); d > 0; --d) {
     total += seconds_by_depth[d - 1];
@@ -213,8 +213,6 @@ TopologyTree::UpSweep TopologyTree::SweepUp(
     if (transfers > 0 && (include_root_phase || id != root_id)) {
       // One gather phase: `transfers` payloads reach this node's
       // representative over its link, paced by the slowest participant.
-      // The expression mirrors the legacy SlowestIntraPhase formula so a
-      // depth-2 tree is bit-identical to HierarchicalNetworkModel.
       const size_t d = static_cast<size_t>(n.depth);
       const double phase =
           n.link.latency_seconds +
@@ -295,8 +293,8 @@ TreeCost TopologyTree::BroadcastCost(
                              /*include_root_phase=*/false);
   const Node& root = nodes_[0];
   if (root.children.empty()) {
-    // Single-node tree: K-1 transfers through the shared channel, the flat
-    // Broadcast formula.
+    // Single-node tree: K-1 transfers through the shared channel, paced by
+    // the slowest link.
     NetworkModel effective = root.link;
     effective.bandwidth_bytes_per_sec /= up.gather_factor[0];
     const size_t total =
@@ -329,7 +327,8 @@ TreeCost TopologyTree::BroadcastCost(
 
 TreeCost TopologyTree::PointToPointCost(size_t payload_bytes,
                                         int num_workers, int leaf_group,
-                                        double link_factor) const {
+                                        double link_factor,
+                                        double edge_stall_seconds) const {
   FEDRA_CHECK(enabled());
   FEDRA_CHECK_GT(num_workers, 0);
   FEDRA_CHECK_GE(link_factor, 1.0);
@@ -338,14 +337,16 @@ TreeCost TopologyTree::PointToPointCost(size_t payload_bytes,
   cost.bytes_by_depth.assign(static_cast<size_t>(num_tiers_), 0);
   int id = NodeOfLeafGroup(leaf_group);
   double factor = link_factor;
+  double stall = edge_stall_seconds;  // leaf tier only
   while (id >= 0) {
     const Node& n = nodes_[static_cast<size_t>(id)];
     const size_t d = static_cast<size_t>(n.depth);
     cost.seconds_by_depth[d] +=
-        n.link.latency_seconds +
+        stall + n.link.latency_seconds +
         static_cast<double>(payload_bytes) /
             (n.link.bandwidth_bytes_per_sec / factor);
     cost.bytes_by_depth[d] += payload_bytes;
+    stall = 0.0;
     factor *= n.parent_link_factor;
     id = n.parent;
   }
@@ -451,26 +452,25 @@ std::string TopologyTree::ToString() const {
                    num_leaf_groups_);
 }
 
-TopologyTree TopologyTree::FromHierarchy(
-    const HierarchicalNetworkModel& h) {
-  FEDRA_CHECK(h.enabled());
-  TopologyNode root;
-  root.name = "root";
-  root.link = h.uplink;
-  root.children.resize(static_cast<size_t>(h.num_clusters));
-  for (int c = 0; c < h.num_clusters; ++c) {
-    TopologyNode& cluster = root.children[static_cast<size_t>(c)];
-    cluster.name = "cluster" + std::to_string(c);
-    cluster.link = h.IntraModel(c);
-  }
-  return TopologyTree(std::move(root), h.name);
-}
-
 TopologyTree TopologyTree::SingleTier(NetworkModel link, std::string name) {
   TopologyNode root;
   root.name = "workers";
   root.link = std::move(link);
   return TopologyTree(std::move(root), std::move(name));
+}
+
+TopologyTree TopologyTree::EdgeCloud(int clusters) {
+  FEDRA_CHECK_GT(clusters, 0);
+  TopologyNode root;
+  root.name = "root";
+  root.link = NetworkModel::Federated();
+  root.children.resize(static_cast<size_t>(clusters));
+  for (int c = 0; c < clusters; ++c) {
+    TopologyNode& cluster = root.children[static_cast<size_t>(c)];
+    cluster.name = "cluster" + std::to_string(c);
+    cluster.link = NetworkModel::EdgeLan();
+  }
+  return TopologyTree(std::move(root), "EdgeCloud");
 }
 
 TopologyTree TopologyTree::DeviceSiteCloud(int sites, int groups_per_site) {

@@ -1,16 +1,13 @@
-// TopologyTree: arbitrary-depth network topologies for the simulated
-// cluster — the generalization of the two-tier HierarchicalNetworkModel to
-// real deployment shapes (device -> rack -> site -> cloud).
+// TopologyTree: the one topology model of the simulated cluster. A single
+// shared channel, the two-tier edge -> cloud layout and deeper deployment
+// shapes (device -> rack -> site -> cloud) are all trees.
 //
 // A tree is a recursive arrangement of tier nodes. Each node owns one
 // NetworkModel: the link over which the node's children (for an internal
 // node: the representatives of its child subtrees; for a leaf node: its
 // member workers) reach the node's representative. Workers attach to the
 // leaf nodes ("worker groups") in DFS order, contiguously and as equal as
-// possible — exactly the HierarchicalNetworkModel cluster layout when the
-// tree has depth 2, so the two-tier model is a depth-2 instance with
-// bit-identical cost accounting (HierarchicalNetworkModel's grouped
-// collective costs delegate here).
+// possible.
 //
 // Collective cost model (the recursive grouped AllReduce):
 //   reduce-up:   level-synchronized gather phases, deepest tier first —
@@ -22,8 +19,9 @@
 //                max of member/representative link factors and the optional
 //                per-child factors).
 //   root tier:   the root's children AllReduce across the root link with a
-//                configurable AllReduceAlgorithm (a degenerate single-node
-//                tree therefore reproduces the flat single-tier cost).
+//                configurable AllReduceAlgorithm (in a single-node tree all
+//                workers AllReduce over the one shared channel:
+//                NetworkModel::AllReduceSeconds at the slowest link).
 //   broadcast:   the mirror image back down.
 // Per-tier charges are keyed by depth (0 = root tier) and feed the
 // CommStats per-depth breakdown. Bytes follow the paper's "total data
@@ -56,8 +54,8 @@ struct TopologyNode {
   std::vector<double> child_link_factors;
 };
 
-/// Per-depth cost of one tree collective; index 0 is the root tier. The
-/// legacy TierCost mapping is depth 0 -> uplink, depths >= 1 -> intra.
+/// Per-depth cost of one tree collective; index 0 is the root tier (the
+/// uplink of a two-tier layout), deeper tiers follow.
 struct TreeCost {
   std::vector<double> seconds_by_depth;
   std::vector<uint64_t> bytes_by_depth;
@@ -74,7 +72,8 @@ struct TreeCost {
 
 class TopologyTree {
  public:
-  /// Disabled tree (flat single-tier topology).
+  /// Disabled tree: the "no topology configured" value of
+  /// TrainerConfig::topology. Collectives need an enabled tree.
   TopologyTree() = default;
 
   /// Flattens `root` into the compiled preorder node table.
@@ -108,9 +107,8 @@ class TopologyTree {
 
   // ------------------------------------------------------- worker layout --
   // Workers are placed contiguously over the leaf groups in DFS order, as
-  // equal as possible (the first num_workers % groups get one extra) —
-  // HierarchicalNetworkModel::ClusterSize generalized. Groups beyond
-  // num_workers stay empty.
+  // equal as possible (the first num_workers % groups get one extra).
+  // Groups beyond num_workers stay empty.
   int GroupSize(int leaf_group, int num_workers) const;
   int GroupBegin(int leaf_group, int num_workers) const;
   int LeafGroupOfWorker(int worker, int num_workers) const;
@@ -148,9 +146,12 @@ class TopologyTree {
 
   /// One worker uploads to the (root-side) coordinator: one hop per tier on
   /// the path from its leaf group to the root. `link_factor` applies the
-  /// worker's straggler slowdown to every hop.
+  /// worker's straggler slowdown to every hop. `edge_stall_seconds` (a
+  /// retry's backoff) is billed on the leaf tier ahead of the first hop,
+  /// as stall + latency + bytes / bandwidth.
   TreeCost PointToPointCost(size_t payload_bytes, int num_workers,
-                            int leaf_group, double link_factor = 1.0) const;
+                            int leaf_group, double link_factor = 1.0,
+                            double edge_stall_seconds = 0.0) const;
 
   /// Reduce-up + broadcast-down confined to node `id`'s subtree — the
   /// hierarchical FDA scheduler's cluster-local synchronization. The
@@ -174,15 +175,14 @@ class TopologyTree {
   Status Validate() const;
   std::string ToString() const;
 
-  // ------------------------------------------------ conversions / presets --
-  /// The two-tier model as a depth-2 tree: a root carrying the uplink with
-  /// one leaf group per cluster carrying that cluster's intra link.
-  /// Grouped collective costs are bit-identical to the legacy formulas.
-  static TopologyTree FromHierarchy(const HierarchicalNetworkModel& h);
-  /// Degenerate single-node tree: all workers in one group on `link`.
-  /// Reproduces the flat single-tier AllReduce cost.
+  // ------------------------------------------------------------- presets --
+  /// Degenerate single-node tree: all workers in one group on `link` — the
+  /// single shared channel, billed by the NetworkModel closed forms.
   static TopologyTree SingleTier(NetworkModel link,
                                  std::string name = "single-tier");
+  /// Two-tier edge -> cloud preset: a Federated() uplink at the root over
+  /// `clusters` leaf groups on EdgeLan() links.
+  static TopologyTree EdgeCloud(int clusters);
   /// Three-tier device -> site -> cloud preset: `sites` site nodes joined
   /// by a Federated() WAN at the root, each site holding
   /// `groups_per_site` EdgeLan() device groups over a Balanced() site

@@ -10,12 +10,14 @@
 
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "sim/collectives.h"
 #include "sim/network_model.h"
+#include "sim/topology_tree.h"
 #include "tensor/ref_ops.h"
 #include "util/rng.h"
 
@@ -61,6 +63,14 @@ NetworkModel TestModel() {
   return model;
 }
 
+// The intra-cluster link of the two-tier tests: 2 GB/s, 0.1 ms.
+NetworkModel TestIntra() {
+  NetworkModel model = TestModel();
+  model.bandwidth_bytes_per_sec = 2e9;
+  model.latency_seconds = 1e-4;
+  return model;
+}
+
 // ----------------------------------------------------- numeric parity ----
 
 // The engine's mean must be independent of the transport algorithm and
@@ -90,8 +100,7 @@ TEST(ReductionEngineTest, MeanMatchesOracleForEveryAlgorithmAndTopology) {
       const auto halving = run(SimNetwork(
           workers, TestModel(), AllReduceAlgorithm::kRecursiveHalving));
       const auto grouped = run(SimNetwork(
-          workers, HierarchicalNetworkModel::EdgeCloud(2),
-          AllReduceAlgorithm::kFlat));
+          workers, TopologyTree::EdgeCloud(2), AllReduceAlgorithm::kFlat));
 
       for (int k = 0; k < workers; ++k) {
         for (size_t i = 0; i < n; ++i) {
@@ -299,24 +308,34 @@ TEST(AccountingTest, PerTrafficClassSecondsSumToTotal) {
   // The splits accumulate in separate doubles; sums agree up to rounding.
   EXPECT_NEAR(stats.seconds_local_state + stats.seconds_model_sync,
               stats.comm_seconds, 1e-12);
-  EXPECT_NEAR(stats.seconds_intra + stats.seconds_uplink,
+  EXPECT_NEAR(stats.SecondsAtDepth(1) + stats.SecondsAtDepth(0),
               stats.comm_seconds, 1e-12);
   EXPECT_EQ(stats.p2p_calls, 1u);
 }
 
 // --------------------------------------------------------- hierarchical ----
 
-HierarchicalNetworkModel TestHierarchy(int num_clusters) {
-  HierarchicalNetworkModel h;
-  h.name = "test2tier";
-  h.intra = TestModel();
-  h.intra.bandwidth_bytes_per_sec = 2e9;
-  h.intra.latency_seconds = 1e-4;
-  h.uplink = TestModel();
-  h.uplink.bandwidth_bytes_per_sec = 1e8;
-  h.uplink.latency_seconds = 1e-2;
-  h.num_clusters = num_clusters;
-  return h;
+// Two-tier test topology: `num_clusters` leaf groups on a 2 GB/s intra
+// link under a 100 MB/s uplink. `cluster_intra`, when given, replaces the
+// intra link per cluster (one entry each). Depth 0 is the uplink, depth 1
+// the intra tier.
+TopologyTree TestHierarchy(int num_clusters,
+                           std::vector<NetworkModel> cluster_intra = {}) {
+  TopologyNode root;
+  root.name = "uplink";
+  root.link = TestModel();
+  root.link.bandwidth_bytes_per_sec = 1e8;
+  root.link.latency_seconds = 1e-2;
+  for (int c = 0; c < num_clusters; ++c) {
+    TopologyNode cluster;
+    cluster.name = "cluster" + std::to_string(c);
+    cluster.link = TestIntra();
+    if (!cluster_intra.empty()) {
+      cluster.link = cluster_intra[static_cast<size_t>(c)];
+    }
+    root.children.push_back(cluster);
+  }
+  return TopologyTree(std::move(root), "test2tier");
 }
 
 TEST(HierarchicalTest, SingleClusterMatchesFlatNumerically) {
@@ -342,9 +361,9 @@ TEST(HierarchicalTest, SingleClusterMatchesFlatNumerically) {
   // One cluster: no uplink traffic at all; gather + broadcast stay intra.
   EXPECT_EQ(grouped.stats().bytes_total,
             2u * 5u * n * sizeof(float));  // 2 phases x (K-1) payloads
-  EXPECT_GT(grouped.stats().seconds_intra, 0.0);
-  EXPECT_DOUBLE_EQ(grouped.stats().seconds_uplink, 0.0);
-  EXPECT_DOUBLE_EQ(grouped.stats().seconds_intra,
+  EXPECT_GT(grouped.stats().SecondsAtDepth(1), 0.0);
+  EXPECT_DOUBLE_EQ(grouped.stats().SecondsAtDepth(0), 0.0);
+  EXPECT_DOUBLE_EQ(grouped.stats().SecondsAtDepth(1),
                    grouped.stats().comm_seconds);
 }
 
@@ -363,8 +382,8 @@ TEST(HierarchicalTest, TwoClusterGroupedAllReduceGolden) {
   const CommStats& stats = network.stats();
   const double intra_phase = 1e-4 + static_cast<double>(p) / 2e9;
   const double uplink_phase = 1e-2 + 2.0 * static_cast<double>(p) / 1e8;
-  EXPECT_DOUBLE_EQ(stats.seconds_intra, 2.0 * intra_phase);
-  EXPECT_DOUBLE_EQ(stats.seconds_uplink, uplink_phase);
+  EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(1), 2.0 * intra_phase);
+  EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(0), uplink_phase);
   EXPECT_DOUBLE_EQ(stats.comm_seconds, 2.0 * intra_phase + uplink_phase);
   EXPECT_EQ(stats.bytes_total, 6u * p);
   EXPECT_EQ(stats.bytes_model_sync, 6u * p);
@@ -388,41 +407,40 @@ TEST(HierarchicalTest, PointToPointCrossesBothTiers) {
   network.PointToPoint(100, TrafficClass::kLocalState);
   const size_t p = 400;
   EXPECT_EQ(network.stats().bytes_total, 2u * p);  // intra hop + uplink hop
-  EXPECT_DOUBLE_EQ(network.stats().seconds_intra,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(1),
                    1e-4 + static_cast<double>(p) / 2e9);
-  EXPECT_DOUBLE_EQ(network.stats().seconds_uplink,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(0),
                    1e-2 + static_cast<double>(p) / 1e8);
 }
 
 TEST(HierarchicalTest, UnevenClustersUseLargestForTime) {
   // K = 5 in 2 clusters -> sizes {3, 2}; phases pace on the 3-cluster.
   const size_t p = 1000;
-  auto h = TestHierarchy(2);
-  EXPECT_EQ(h.MaxClusterSize(5), 3);
-  const auto cost =
+  const TopologyTree h = TestHierarchy(2);
+  EXPECT_EQ(h.GroupSize(0, 5), 3);
+  const TreeCost cost =
       h.GroupedAllReduceCost(p, 5, AllReduceAlgorithm::kFlat);
-  EXPECT_DOUBLE_EQ(cost.intra_seconds,
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(1),
                    2.0 * (1e-4 + 2.0 * static_cast<double>(p) / 2e9));
   // Members: 5 workers - 2 leaders = 3 payloads per intra phase.
-  EXPECT_EQ(cost.intra_bytes, 2u * 3u * p);
+  EXPECT_EQ(cost.BytesAt(1), 2u * 3u * p);
 }
 
 TEST(HierarchicalTest, PerClusterIntraLinksDefaultToSharedModel) {
-  // Populating cluster_intra with copies of the shared model must not
+  // Spelling out per-cluster copies of the shared intra link must not
   // change any cost — the heterogeneous path degenerates bit-exactly.
   const size_t p = 1000;
-  auto shared = TestHierarchy(2);
-  auto hetero = TestHierarchy(2);
-  hetero.cluster_intra = {hetero.intra, hetero.intra};
+  const TopologyTree shared = TestHierarchy(2);
+  const TopologyTree hetero = TestHierarchy(2, {TestIntra(), TestIntra()});
   for (int workers : {2, 4, 5, 9}) {
-    const auto a =
+    const TreeCost a =
         shared.GroupedAllReduceCost(p, workers, AllReduceAlgorithm::kFlat);
-    const auto b =
+    const TreeCost b =
         hetero.GroupedAllReduceCost(p, workers, AllReduceAlgorithm::kFlat);
-    EXPECT_DOUBLE_EQ(a.intra_seconds, b.intra_seconds) << workers;
-    EXPECT_DOUBLE_EQ(a.uplink_seconds, b.uplink_seconds) << workers;
-    EXPECT_EQ(a.intra_bytes, b.intra_bytes) << workers;
-    EXPECT_EQ(a.uplink_bytes, b.uplink_bytes) << workers;
+    EXPECT_DOUBLE_EQ(a.SecondsAt(1), b.SecondsAt(1)) << workers;
+    EXPECT_DOUBLE_EQ(a.SecondsAt(0), b.SecondsAt(0)) << workers;
+    EXPECT_EQ(a.BytesAt(1), b.BytesAt(1)) << workers;
+    EXPECT_EQ(a.BytesAt(0), b.BytesAt(0)) << workers;
   }
 }
 
@@ -431,31 +449,33 @@ TEST(HierarchicalTest, HeterogeneousClusterLinksPaceOnTheirOwnModel) {
   // cluster 0's, so both intra phases pace on cluster 1 even though the
   // cluster sizes match.
   const size_t p = 1 << 20;
-  auto h = TestHierarchy(2);
-  h.cluster_intra = {h.intra, h.intra};
-  h.cluster_intra[1].bandwidth_bytes_per_sec = 2e8;  // 10x slower
-  EXPECT_EQ(h.ClusterSize(0, 4), 2);
-  EXPECT_EQ(h.ClusterSize(1, 4), 2);
-  const auto cost = h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat);
+  std::vector<NetworkModel> links = {TestIntra(), TestIntra()};
+  links[1].bandwidth_bytes_per_sec = 2e8;  // 10x slower
+  const TopologyTree h = TestHierarchy(2, links);
+  EXPECT_EQ(h.GroupSize(0, 4), 2);
+  EXPECT_EQ(h.GroupSize(1, 4), 2);
+  const TreeCost cost =
+      h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat);
   const double slow_phase = 1e-4 + static_cast<double>(p) / 2e8;
-  EXPECT_DOUBLE_EQ(cost.intra_seconds, 2.0 * slow_phase);
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(1), 2.0 * slow_phase);
   // Bytes do not depend on link speed: 2 members x 2 phases.
-  EXPECT_EQ(cost.intra_bytes, 2u * 2u * p);
+  EXPECT_EQ(cost.BytesAt(1), 2u * 2u * p);
 
   // A fast model for cluster 1 instead hands pacing back to cluster 0.
-  h.cluster_intra[1].bandwidth_bytes_per_sec = 2e10;
-  const auto fast = h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat);
+  links[1].bandwidth_bytes_per_sec = 2e10;
+  const TreeCost fast = TestHierarchy(2, links).GroupedAllReduceCost(
+      p, 4, AllReduceAlgorithm::kFlat);
   const double shared_phase = 1e-4 + static_cast<double>(p) / 2e9;
-  EXPECT_DOUBLE_EQ(fast.intra_seconds, 2.0 * shared_phase);
+  EXPECT_DOUBLE_EQ(fast.SecondsAt(1), 2.0 * shared_phase);
 }
 
 TEST(HierarchicalTest, ClusterSizesAreContiguousAndBalanced) {
-  auto h = TestHierarchy(3);
+  const TopologyTree h = TestHierarchy(3);
   // 8 workers over 3 clusters: sizes {3, 3, 2}.
-  EXPECT_EQ(h.ClusterSize(0, 8), 3);
-  EXPECT_EQ(h.ClusterSize(1, 8), 3);
-  EXPECT_EQ(h.ClusterSize(2, 8), 2);
-  EXPECT_EQ(h.MaxClusterSize(8), 3);
+  EXPECT_EQ(h.GroupSize(0, 8), 3);
+  EXPECT_EQ(h.GroupSize(1, 8), 3);
+  EXPECT_EQ(h.GroupSize(2, 8), 2);
+  EXPECT_EQ(h.GroupBegin(2, 8), 6);
 }
 
 TEST(AccountingTest, SlowestLinkPacesFlatCollectives) {
@@ -502,47 +522,46 @@ TEST(AccountingTest, SlowestMemberPacesItsClusterOnly) {
   // intra phases slow 8x, cluster 0's do not — pacing takes the max. The
   // uplink is paced by leaders (workers 0 and 2), both factor 1.
   const size_t p = 1 << 20;
-  auto h = TestHierarchy(2);
+  const TopologyTree h = TestHierarchy(2);
   const std::vector<double> factors = {1.0, 1.0, 1.0, 8.0};
-  const auto cost =
+  const TreeCost cost =
       h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat, &factors);
   const double slow_phase = 1e-4 + static_cast<double>(p) / (2e9 / 8.0);
-  EXPECT_DOUBLE_EQ(cost.intra_seconds, 2.0 * slow_phase);
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(1), 2.0 * slow_phase);
   const double uplink_phase = 1e-2 + 2.0 * static_cast<double>(p) / 1e8;
-  EXPECT_DOUBLE_EQ(cost.uplink_seconds, uplink_phase);
+  EXPECT_DOUBLE_EQ(cost.SecondsAt(0), uplink_phase);
 
   // A slow *leader* (worker 2) instead slows the uplink phase.
   const std::vector<double> slow_leader = {1.0, 1.0, 8.0, 1.0};
-  const auto leader_cost =
+  const TreeCost leader_cost =
       h.GroupedAllReduceCost(p, 4, AllReduceAlgorithm::kFlat, &slow_leader);
-  EXPECT_DOUBLE_EQ(leader_cost.uplink_seconds,
+  EXPECT_DOUBLE_EQ(leader_cost.SecondsAt(0),
                    1e-2 + 2.0 * static_cast<double>(p) / (1e8 / 8.0));
 }
 
 TEST(AccountingTest, PointToPointBillsTheUploadingWorkersLink) {
   // A slow worker's state uploads transit *its* link: the same straggler
   // factor that paces collectives also paces its point-to-point traffic,
-  // and under a heterogeneous hierarchy the upload uses its cluster's
+  // and under heterogeneous cluster links the upload uses its cluster's
   // intra model. Workers without a factor stay at homogeneous cost.
   const size_t n = 100;
   const size_t p = n * sizeof(float);
-  auto h = TestHierarchy(2);
-  h.cluster_intra = {h.intra, h.intra};
-  h.cluster_intra[1].bandwidth_bytes_per_sec = 4e8;  // workers 2, 3
-  SimNetwork network(4, h, AllReduceAlgorithm::kFlat);
+  std::vector<NetworkModel> links = {TestIntra(), TestIntra()};
+  links[1].bandwidth_bytes_per_sec = 4e8;  // workers 2, 3
+  SimNetwork network(4, TestHierarchy(2, links), AllReduceAlgorithm::kFlat);
   network.SetWorkerLinkFactors({1.0, 1.0, 1.0, 5.0});
 
   network.PointToPoint(n, TrafficClass::kLocalState, 0);  // fast cluster
-  EXPECT_DOUBLE_EQ(network.stats().seconds_intra,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(1),
                    1e-4 + static_cast<double>(p) / 2e9);
   const double uplink_fast = 1e-2 + static_cast<double>(p) / 1e8;
-  EXPECT_DOUBLE_EQ(network.stats().seconds_uplink, uplink_fast);
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(0), uplink_fast);
 
   network.ResetStats();
   network.PointToPoint(n, TrafficClass::kLocalState, 3);  // slow worker
-  EXPECT_DOUBLE_EQ(network.stats().seconds_intra,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(1),
                    1e-4 + static_cast<double>(p) / (4e8 / 5.0));
-  EXPECT_DOUBLE_EQ(network.stats().seconds_uplink,
+  EXPECT_DOUBLE_EQ(network.stats().SecondsAtDepth(0),
                    1e-2 + static_cast<double>(p) / (1e8 / 5.0));
   // Bytes are link-speed independent.
   EXPECT_EQ(network.stats().bytes_total, 2u * p);
@@ -565,13 +584,14 @@ TEST(AccountingTest, AlgorithmNames) {
 }
 
 TEST(HierarchicalTest, EdgeCloudPresetIsTwoTier) {
-  const auto preset = HierarchicalNetworkModel::EdgeCloud(3);
+  const TopologyTree preset = TopologyTree::EdgeCloud(3);
   EXPECT_TRUE(preset.enabled());
-  EXPECT_EQ(preset.num_clusters, 3);
-  EXPECT_GT(preset.intra.bandwidth_bytes_per_sec,
-            preset.uplink.bandwidth_bytes_per_sec);
-  EXPECT_LT(preset.intra.latency_seconds, preset.uplink.latency_seconds);
-  EXPECT_FALSE(HierarchicalNetworkModel::None().enabled());
+  EXPECT_EQ(preset.depth(), 2);
+  EXPECT_EQ(preset.num_leaf_groups(), 3);
+  const NetworkModel& intra = preset.node(preset.NodeOfLeafGroup(0)).link;
+  const NetworkModel& uplink = preset.node(0).link;
+  EXPECT_GT(intra.bandwidth_bytes_per_sec, uplink.bandwidth_bytes_per_sec);
+  EXPECT_LT(intra.latency_seconds, uplink.latency_seconds);
 }
 
 }  // namespace

@@ -342,8 +342,7 @@ TEST(FaultCollectivesTest, WeightedSubsetMatchesSerialOracle) {
 }
 
 TEST(FaultCollectivesTest, SubtreeSubsetSingleSurvivorIsFree) {
-  TopologyTree tree =
-      TopologyTree::FromHierarchy(HierarchicalNetworkModel::EdgeCloud(2));
+  TopologyTree tree = TopologyTree::EdgeCloud(2);
   SimNetwork network(4, std::move(tree), AllReduceAlgorithm::kFlat);
   const size_t n = 16;
   std::vector<float> buffer(n, 2.0f);
@@ -539,10 +538,7 @@ struct HierarchicalHarness {
 
   HierarchicalHarness()
       : arena(4, kDim, 0),
-        network(4,
-                TopologyTree::FromHierarchy(
-                    HierarchicalNetworkModel::EdgeCloud(2)),
-                AllReduceAlgorithm::kFlat),
+        network(4, TopologyTree::EdgeCloud(2), AllReduceAlgorithm::kFlat),
         sync_params(kDim, 0.0f),
         prev_sync_params(kDim, 0.0f) {
     workers.resize(4);

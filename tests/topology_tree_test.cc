@@ -8,15 +8,16 @@
 //      re-executing this binary with the env var pinned and comparing
 //      result hashes (the global pool size is fixed at first use, so the
 //      sweep needs fresh processes);
-//   3. depth-2 parity — a random two-tier hierarchy costs exactly (to the
-//      last byte and the last double bit) what the original closed-form
-//      HierarchicalNetworkModel formulas computed; the legacy formulas are
-//      reimplemented here verbatim as the independent reference;
-//   4. degeneracy — a single-node tree reproduces the flat single-tier
-//      network's accounting exactly.
+//   3. depth-2 parity — a random two-tier edge -> cloud tree costs exactly
+//      (to the last byte and the last double bit) what the original
+//      closed-form two-tier formulas computed; the legacy formulas are
+//      kept here verbatim as the independent reference;
+//   4. degeneracy — a single-node tree bills every SimNetwork entry point
+//      exactly as the single-channel NetworkModel closed forms do.
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -197,7 +198,6 @@ TEST(TopologyTreeTest, SubtreeAllReduceAveragesMembersOnly) {
   // Root tier (the uplink) carries nothing; the site and device tiers do.
   EXPECT_EQ(stats.BytesAtDepth(0), 0u);
   EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(0), 0.0);
-  EXPECT_DOUBLE_EQ(stats.seconds_uplink, 0.0);
   EXPECT_GT(stats.SecondsAtDepth(1), 0.0);
   EXPECT_GT(stats.SecondsAtDepth(2), 0.0);
   const size_t p = n * sizeof(float);
@@ -209,9 +209,57 @@ TEST(TopologyTreeTest, SubtreeAllReduceAveragesMembersOnly) {
 
 // ------------------------------------------ legacy closed-form reference --
 
-// The pre-generalization HierarchicalNetworkModel cost formulas, kept
+// The two-tier edge -> cloud cost formulas that predate TopologyTree, kept
 // verbatim as the independent oracle for the depth-2 parity property.
 namespace legacy {
+
+// Two-tier layout: `num_clusters` contiguous cluster blocks (sizes as
+// equal as possible), each on its own intra link, cluster leaders joined
+// by one uplink.
+struct TwoTier {
+  int num_clusters = 1;
+  std::vector<NetworkModel> cluster_intra;  // one per cluster
+  NetworkModel uplink;
+
+  int ClusterSize(int cluster, int num_workers) const {
+    const int clusters = std::min(num_clusters, num_workers);
+    const int base = num_workers / clusters;
+    const int remainder = num_workers % clusters;
+    return base + (cluster < remainder ? 1 : 0);
+  }
+
+  int ClusterOfWorker(int worker, int num_workers) const {
+    int begin = 0;
+    const int clusters = std::min(num_clusters, num_workers);
+    for (int c = 0; c < clusters; ++c) {
+      begin += ClusterSize(c, num_workers);
+      if (worker < begin) {
+        return c;
+      }
+    }
+    return -1;
+  }
+
+  // The same layout as a depth-2 tree: the uplink at the root, one leaf
+  // group per cluster on that cluster's intra link.
+  TopologyTree ToTree() const {
+    TopologyNode root;
+    root.link = uplink;
+    for (int c = 0; c < num_clusters; ++c) {
+      TopologyNode cluster;
+      cluster.link = cluster_intra[static_cast<size_t>(c)];
+      root.children.push_back(cluster);
+    }
+    return TopologyTree(std::move(root), "two-tier");
+  }
+};
+
+struct TierCost {
+  double intra_seconds = 0.0;
+  double uplink_seconds = 0.0;
+  size_t intra_bytes = 0;
+  size_t uplink_bytes = 0;
+};
 
 double MaxLinkFactor(const std::vector<double>* factors, int begin,
                      int size) {
@@ -230,8 +278,8 @@ struct IntraPhase {
   double max_leader_factor = 1.0;
 };
 
-IntraPhase SlowestIntraPhase(const HierarchicalNetworkModel& h,
-                             double payload_bytes, int num_workers,
+IntraPhase SlowestIntraPhase(const TwoTier& h, double payload_bytes,
+                             int num_workers,
                              const std::vector<double>* factors) {
   const int clusters = std::min(h.num_clusters, num_workers);
   IntraPhase phase;
@@ -241,7 +289,7 @@ IntraPhase SlowestIntraPhase(const HierarchicalNetworkModel& h,
     phase.max_leader_factor = std::max(phase.max_leader_factor,
                                        MaxLinkFactor(factors, begin, 1));
     if (size > 1) {
-      const NetworkModel& link = h.IntraModel(c);
+      const NetworkModel& link = h.cluster_intra[static_cast<size_t>(c)];
       const double factor = MaxLinkFactor(factors, begin, size);
       phase.seconds = std::max(
           phase.seconds,
@@ -254,11 +302,11 @@ IntraPhase SlowestIntraPhase(const HierarchicalNetworkModel& h,
   return phase;
 }
 
-HierarchicalNetworkModel::TierCost GroupedAllReduceCost(
-    const HierarchicalNetworkModel& h, double payload_bytes, int num_workers,
-    AllReduceAlgorithm cross_algorithm,
-    const std::vector<double>* factors) {
-  HierarchicalNetworkModel::TierCost cost;
+TierCost GroupedAllReduceCost(const TwoTier& h, double payload_bytes,
+                              int num_workers,
+                              AllReduceAlgorithm cross_algorithm,
+                              const std::vector<double>* factors) {
+  TierCost cost;
   if (num_workers == 1) {
     return cost;
   }
@@ -285,10 +333,9 @@ HierarchicalNetworkModel::TierCost GroupedAllReduceCost(
   return cost;
 }
 
-HierarchicalNetworkModel::TierCost BroadcastCost(
-    const HierarchicalNetworkModel& h, size_t payload_bytes, int num_workers,
-    const std::vector<double>* factors) {
-  HierarchicalNetworkModel::TierCost cost;
+TierCost BroadcastCost(const TwoTier& h, size_t payload_bytes,
+                       int num_workers, const std::vector<double>* factors) {
+  TierCost cost;
   if (num_workers == 1) {
     return cost;
   }
@@ -311,17 +358,34 @@ HierarchicalNetworkModel::TierCost BroadcastCost(
   return cost;
 }
 
+TierCost PointToPointCost(const TwoTier& h, size_t payload_bytes,
+                          int cluster, double link_factor) {
+  const NetworkModel& intra = h.cluster_intra[static_cast<size_t>(cluster)];
+  TierCost cost;
+  cost.intra_seconds = intra.latency_seconds +
+                       static_cast<double>(payload_bytes) /
+                           (intra.bandwidth_bytes_per_sec / link_factor);
+  cost.intra_bytes = payload_bytes;
+  cost.uplink_seconds = h.uplink.latency_seconds +
+                        static_cast<double>(payload_bytes) /
+                            (h.uplink.bandwidth_bytes_per_sec / link_factor);
+  cost.uplink_bytes = payload_bytes;
+  return cost;
+}
+
 }  // namespace legacy
 
-HierarchicalNetworkModel RandomHierarchy(Rng& rng) {
-  HierarchicalNetworkModel h;
-  h.name = "random2tier";
+// Draws a random two-tier layout; half of them give every cluster the same
+// intra link, the rest one random link per cluster.
+legacy::TwoTier RandomTwoTier(Rng& rng) {
+  legacy::TwoTier h;
   h.num_clusters = 1 + static_cast<int>(rng.NextBounded(5));
-  h.intra = RandomLink(rng);
+  const NetworkModel shared_intra = RandomLink(rng);
   h.uplink = RandomLink(rng);
+  h.cluster_intra.assign(static_cast<size_t>(h.num_clusters), shared_intra);
   if (rng.NextBernoulli(0.5)) {
-    for (int c = 0; c < h.num_clusters; ++c) {
-      h.cluster_intra.push_back(RandomLink(rng));
+    for (auto& link : h.cluster_intra) {
+      link = RandomLink(rng);
     }
   }
   return h;
@@ -336,7 +400,8 @@ TEST(TopologyTreeTest, Depth2TreeMatchesLegacyHierarchicalFormulasExactly) {
       AllReduceAlgorithm::kFlat, AllReduceAlgorithm::kRing,
       AllReduceAlgorithm::kRecursiveHalving};
   for (int trial = 0; trial < 200; ++trial) {
-    const HierarchicalNetworkModel h = RandomHierarchy(rng);
+    const legacy::TwoTier h = RandomTwoTier(rng);
+    const TopologyTree tree = h.ToTree();
     const int workers =
         h.num_clusters + static_cast<int>(rng.NextBounded(12));
     const double payload =
@@ -356,63 +421,134 @@ TEST(TopologyTreeTest, Depth2TreeMatchesLegacyHierarchicalFormulasExactly) {
 
     const auto expected = legacy::GroupedAllReduceCost(
         h, payload, workers, algorithm, factors_ptr);
-    const auto got =
-        h.GroupedAllReduceCost(payload, workers, algorithm, factors_ptr);
-    EXPECT_EQ(expected.intra_seconds, got.intra_seconds);
-    EXPECT_EQ(expected.uplink_seconds, got.uplink_seconds);
-    EXPECT_EQ(expected.intra_bytes, got.intra_bytes);
-    EXPECT_EQ(expected.uplink_bytes, got.uplink_bytes);
+    const TreeCost got =
+        tree.GroupedAllReduceCost(payload, workers, algorithm, factors_ptr);
+    EXPECT_EQ(expected.intra_seconds, got.SecondsAt(1));
+    EXPECT_EQ(expected.uplink_seconds, got.SecondsAt(0));
+    EXPECT_EQ(expected.intra_bytes, got.BytesAt(1));
+    EXPECT_EQ(expected.uplink_bytes, got.BytesAt(0));
 
     const size_t bcast_payload = static_cast<size_t>(payload);
     const auto expected_bcast =
         legacy::BroadcastCost(h, bcast_payload, workers, factors_ptr);
-    const auto got_bcast =
-        h.BroadcastCost(bcast_payload, workers, factors_ptr);
-    EXPECT_EQ(expected_bcast.intra_seconds, got_bcast.intra_seconds);
-    EXPECT_EQ(expected_bcast.uplink_seconds, got_bcast.uplink_seconds);
-    EXPECT_EQ(expected_bcast.intra_bytes, got_bcast.intra_bytes);
-    EXPECT_EQ(expected_bcast.uplink_bytes, got_bcast.uplink_bytes);
+    const TreeCost got_bcast =
+        tree.BroadcastCost(bcast_payload, workers, factors_ptr);
+    EXPECT_EQ(expected_bcast.intra_seconds, got_bcast.SecondsAt(1));
+    EXPECT_EQ(expected_bcast.uplink_seconds, got_bcast.SecondsAt(0));
+    EXPECT_EQ(expected_bcast.intra_bytes, got_bcast.BytesAt(1));
+    EXPECT_EQ(expected_bcast.uplink_bytes, got_bcast.BytesAt(0));
   }
 }
 
-// The same parity at the SimNetwork level: a network configured with the
-// two-tier hierarchy and one configured with its depth-2 tree account
-// identical stats for a mixed collective sequence.
-TEST(TopologyTreeTest, HierarchicalNetworkEqualsDepth2TreeNetwork) {
+// The same parity at the SimNetwork level: a network over the depth-2 tree
+// accounts, for a mixed collective sequence, exactly the legacy per-tier
+// charges, summed intra before uplink.
+TEST(TopologyTreeTest, Depth2TreeNetworkChargesLegacyFormulasExactly) {
   Rng rng(99);
   for (int trial = 0; trial < 20; ++trial) {
-    const HierarchicalNetworkModel h = RandomHierarchy(rng);
+    const legacy::TwoTier h = RandomTwoTier(rng);
     const int workers =
         h.num_clusters + static_cast<int>(rng.NextBounded(9));
     const size_t n = 1 + rng.NextBounded(5000);
+    const size_t payload = n * sizeof(float);
     std::vector<double> factors = RandomFactors(rng, workers);
-    auto run = [&](SimNetwork network) {
-      network.SetWorkerLinkFactors(factors);
-      auto buffers = RandomBuffers(workers, n, 300 + trial);
-      auto pointers = Pointers(buffers);
-      network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
-      network.Broadcast(pointers, n, 0, TrafficClass::kModelSync);
-      network.PointToPoint(n, TrafficClass::kLocalState,
-                           static_cast<int>(rng.NextBounded(workers)));
-      return network.stats();
-    };
-    Rng fork = rng;  // both runs draw the same p2p worker
-    const CommStats a = run(SimNetwork(workers, h, AllReduceAlgorithm::kRing));
-    rng = fork;
-    const CommStats b = run(SimNetwork(
-        workers, TopologyTree::FromHierarchy(h), AllReduceAlgorithm::kRing));
+    const int p2p_worker = static_cast<int>(rng.NextBounded(workers));
     SCOPED_TRACE(::testing::Message() << "trial " << trial);
-    EXPECT_EQ(a.bytes_total, b.bytes_total);
-    EXPECT_EQ(a.comm_seconds, b.comm_seconds);
-    EXPECT_EQ(a.seconds_intra, b.seconds_intra);
-    EXPECT_EQ(a.seconds_uplink, b.seconds_uplink);
-    EXPECT_EQ(a.BytesAtDepth(0), b.BytesAtDepth(0));
-    EXPECT_EQ(a.BytesAtDepth(1), b.BytesAtDepth(1));
+
+    SimNetwork network(workers, h.ToTree(), AllReduceAlgorithm::kRing);
+    network.SetWorkerLinkFactors(factors);
+    auto buffers = RandomBuffers(workers, n, 300 + trial);
+    auto pointers = Pointers(buffers);
+    network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
+    network.Broadcast(pointers, n, 0, TrafficClass::kModelSync);
+    network.PointToPoint(n, TrafficClass::kLocalState, p2p_worker);
+
+    const legacy::TierCost charges[] = {
+        legacy::GroupedAllReduceCost(h, static_cast<double>(payload),
+                                     workers, AllReduceAlgorithm::kRing,
+                                     &factors),
+        legacy::BroadcastCost(h, payload, workers, &factors),
+        legacy::PointToPointCost(
+            h, payload, h.ClusterOfWorker(p2p_worker, workers),
+            factors[static_cast<size_t>(p2p_worker)])};
+    double comm_seconds = 0.0;
+    double intra_seconds = 0.0;
+    double uplink_seconds = 0.0;
+    uint64_t intra_bytes = 0;
+    uint64_t uplink_bytes = 0;
+    for (const legacy::TierCost& charge : charges) {
+      comm_seconds += charge.intra_seconds + charge.uplink_seconds;
+      intra_seconds += charge.intra_seconds;
+      uplink_seconds += charge.uplink_seconds;
+      intra_bytes += charge.intra_bytes;
+      uplink_bytes += charge.uplink_bytes;
+    }
+    const CommStats& stats = network.stats();
+    EXPECT_EQ(stats.bytes_total, intra_bytes + uplink_bytes);
+    EXPECT_EQ(stats.comm_seconds, comm_seconds);
+    EXPECT_EQ(stats.SecondsAtDepth(1), intra_seconds);
+    EXPECT_EQ(stats.SecondsAtDepth(0), uplink_seconds);
+    EXPECT_EQ(stats.BytesAtDepth(0), uplink_bytes);
+    EXPECT_EQ(stats.BytesAtDepth(1), intra_bytes);
   }
 }
 
 // --------------------------------------------------------- degeneracy ----
 
+// The NetworkModel closed forms a single-tier network bills: one shared
+// channel whose bandwidth is divided by the slowest participating link.
+namespace single_tier {
+
+struct Charge {
+  uint64_t bytes = 0;
+  double seconds = 0.0;
+};
+
+double Slowest(const std::vector<double>& factors,
+               const std::vector<int>& participants) {
+  if (factors.empty()) {
+    return 1.0;
+  }
+  double slowest = 1.0;
+  for (int w : participants) {
+    slowest = std::max(slowest, factors[static_cast<size_t>(w)]);
+  }
+  return slowest;
+}
+
+Charge AllReduce(const NetworkModel& model, AllReduceAlgorithm algorithm,
+                 size_t payload_sum, int members, double factor) {
+  Charge charge;
+  if (members <= 1) {
+    return charge;
+  }
+  NetworkModel effective = model;
+  effective.bandwidth_bytes_per_sec /= factor;
+  charge.seconds = effective.AllReduceSeconds(
+      static_cast<double>(payload_sum) / members, members, algorithm);
+  charge.bytes = static_cast<uint64_t>(
+      std::llround(NetworkModel::AllReduceTotalBytesFromSum(
+          static_cast<double>(payload_sum), members, algorithm)));
+  return charge;
+}
+
+// One transfer of `payload` bytes over the channel at the given slowdown,
+// after `stall` seconds of backoff.
+Charge Hop(const NetworkModel& model, size_t payload, double factor,
+           double stall = 0.0) {
+  Charge charge;
+  charge.bytes = payload;
+  charge.seconds = stall + model.latency_seconds +
+                   static_cast<double>(payload) /
+                       (model.bandwidth_bytes_per_sec / factor);
+  return charge;
+}
+
+}  // namespace single_tier
+
+// A single-tier network (the NetworkModel constructor) bills a mixed
+// collective sequence, and predicts its model sync, exactly as the closed
+// forms do.
 TEST(TopologyTreeTest, SingleNodeTreeMatchesFlatNetworkExactly) {
   Rng rng(55);
   const AllReduceAlgorithm algorithms[] = {
@@ -422,42 +558,213 @@ TEST(TopologyTreeTest, SingleNodeTreeMatchesFlatNetworkExactly) {
     const NetworkModel model = RandomLink(rng);
     const int workers = 1 + static_cast<int>(rng.NextBounded(10));
     const size_t n = 1 + rng.NextBounded(4096);
+    const size_t payload = n * sizeof(float);
     const AllReduceAlgorithm algorithm = algorithms[rng.NextBounded(3)];
     const bool with_factors = rng.NextBernoulli(0.5);
     std::vector<double> factors =
         with_factors ? RandomFactors(rng, workers) : std::vector<double>();
     const int p2p_worker = static_cast<int>(rng.NextBounded(workers));
-    auto run = [&](SimNetwork network) {
-      if (with_factors) {
-        network.SetWorkerLinkFactors(factors);
-      }
-      auto buffers = RandomBuffers(workers, n, 800 + trial);
-      auto pointers = Pointers(buffers);
-      network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
-      network.Broadcast(pointers, n, 0, TrafficClass::kLocalState);
-      network.PointToPoint(n, TrafficClass::kLocalState, p2p_worker);
-      struct Result {
-        CommStats stats;
-        double model_sync_seconds;
-      };
-      return Result{network.stats(),
-                    network.ModelSyncSeconds(n * sizeof(float))};
-    };
-    const auto flat = run(SimNetwork(workers, model, algorithm));
-    const auto tree =
-        run(SimNetwork(workers, TopologyTree::SingleTier(model), algorithm));
     SCOPED_TRACE(::testing::Message()
                  << "trial " << trial << " workers " << workers
                  << " algorithm " << AllReduceAlgorithmName(algorithm));
-    EXPECT_EQ(flat.stats.bytes_total, tree.stats.bytes_total);
-    EXPECT_EQ(flat.stats.comm_seconds, tree.stats.comm_seconds);
-    EXPECT_EQ(flat.stats.seconds_uplink, tree.stats.seconds_uplink);
-    EXPECT_EQ(flat.stats.seconds_intra, tree.stats.seconds_intra);
-    EXPECT_EQ(flat.stats.seconds_local_state, tree.stats.seconds_local_state);
-    EXPECT_EQ(flat.stats.seconds_model_sync, tree.stats.seconds_model_sync);
-    EXPECT_EQ(flat.stats.BytesAtDepth(0), tree.stats.BytesAtDepth(0));
-    EXPECT_EQ(flat.stats.SecondsAtDepth(0), tree.stats.SecondsAtDepth(0));
-    EXPECT_EQ(flat.model_sync_seconds, tree.model_sync_seconds);
+
+    SimNetwork network(workers, model, algorithm);
+    if (with_factors) {
+      network.SetWorkerLinkFactors(factors);
+    }
+    auto buffers = RandomBuffers(workers, n, 800 + trial);
+    auto pointers = Pointers(buffers);
+    network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
+    network.Broadcast(pointers, n, 0, TrafficClass::kLocalState);
+    network.PointToPoint(n, TrafficClass::kLocalState, p2p_worker);
+
+    std::vector<int> everyone;
+    for (int w = 0; w < workers; ++w) {
+      everyone.push_back(w);
+    }
+    const double slowest = single_tier::Slowest(factors, everyone);
+    const single_tier::Charge sync = single_tier::AllReduce(
+        model, algorithm, payload * static_cast<size_t>(workers), workers,
+        slowest);
+    const single_tier::Charge bcast =
+        workers > 1 ? single_tier::Hop(
+                          model, payload * static_cast<size_t>(workers - 1),
+                          slowest)
+                    : single_tier::Charge();
+    const single_tier::Charge p2p = single_tier::Hop(
+        model, payload,
+        with_factors ? factors[static_cast<size_t>(p2p_worker)] : 1.0);
+    const double comm_seconds = sync.seconds + bcast.seconds + p2p.seconds;
+    const CommStats& stats = network.stats();
+    EXPECT_EQ(stats.bytes_total, sync.bytes + bcast.bytes + p2p.bytes);
+    EXPECT_EQ(stats.comm_seconds, comm_seconds);
+    EXPECT_EQ(stats.seconds_local_state, bcast.seconds + p2p.seconds);
+    EXPECT_EQ(stats.seconds_model_sync, sync.seconds);
+    EXPECT_EQ(stats.BytesAtDepth(0), stats.bytes_total);
+    EXPECT_EQ(stats.SecondsAtDepth(0), comm_seconds);
+    EXPECT_EQ(stats.SecondsAtDepth(1), 0.0);
+    EXPECT_EQ(network.ModelSyncSeconds(payload), sync.seconds);
+  }
+}
+
+// Every SimNetwork entry point on a single-tier network, each on a fresh
+// network, against the closed forms above — bit-for-bit, over random
+// links, worker counts, algorithms, straggler factors, participation masks
+// and variable wire sizes.
+TEST(TopologyTreeTest, SingleTierEntryPointsMatchClosedFormsExactly) {
+  Rng rng(4242);
+  const AllReduceAlgorithm algorithms[] = {
+      AllReduceAlgorithm::kFlat, AllReduceAlgorithm::kRing,
+      AllReduceAlgorithm::kRecursiveHalving};
+  for (int trial = 0; trial < 200; ++trial) {
+    const NetworkModel model = RandomLink(rng);
+    const int workers = 1 + static_cast<int>(rng.NextBounded(12));
+    const size_t n = 1 + rng.NextBounded(4096);
+    const size_t payload = n * sizeof(float);
+    const AllReduceAlgorithm algorithm = algorithms[rng.NextBounded(3)];
+    std::vector<double> factors;
+    if (rng.NextBernoulli(0.5)) {
+      factors = RandomFactors(rng, workers);
+    }
+    std::vector<int> everyone;
+    std::vector<int> subset;
+    for (int w = 0; w < workers; ++w) {
+      everyone.push_back(w);
+      if (rng.NextBernoulli(0.6)) {
+        subset.push_back(w);
+      }
+    }
+    std::vector<size_t> wire(static_cast<size_t>(workers));
+    for (auto& bytes : wire) {
+      bytes = 1 + rng.NextBounded(payload);
+    }
+    std::vector<size_t> subset_wire;
+    std::vector<double> subset_weights;
+    size_t wire_sum = 0;
+    size_t subset_wire_sum = 0;
+    for (int w : everyone) {
+      wire_sum += wire[static_cast<size_t>(w)];
+    }
+    for (int w : subset) {
+      subset_wire.push_back(wire[static_cast<size_t>(w)]);
+      subset_wire_sum += wire[static_cast<size_t>(w)];
+      subset_weights.push_back(0.5 + rng.NextDouble());
+    }
+    const int worker = static_cast<int>(rng.NextBounded(workers));
+    const double worker_factor =
+        factors.empty() ? 1.0 : factors[static_cast<size_t>(worker)];
+    const int retries = 1 + static_cast<int>(rng.NextBounded(4));
+    const double backoff = 1e-3 * rng.NextDouble();
+    SCOPED_TRACE(::testing::Message()
+                 << "trial " << trial << " workers " << workers
+                 << " algorithm " << AllReduceAlgorithmName(algorithm)
+                 << " subset " << subset.size());
+
+    auto fresh = [&] {
+      SimNetwork network(workers, TopologyTree::SingleTier(model),
+                         algorithm);
+      if (!factors.empty()) {
+        network.SetWorkerLinkFactors(factors);
+      }
+      return network;
+    };
+    auto expect_charged = [](const CommStats& stats,
+                             const single_tier::Charge& charge) {
+      EXPECT_EQ(stats.bytes_total, charge.bytes);
+      EXPECT_EQ(stats.comm_seconds, charge.seconds);
+      EXPECT_EQ(stats.BytesAtDepth(0), charge.bytes);
+      EXPECT_EQ(stats.SecondsAtDepth(0), charge.seconds);
+      EXPECT_EQ(stats.seconds_local_state + stats.seconds_model_sync,
+                charge.seconds);
+    };
+    auto buffers = RandomBuffers(workers, n, 500 + trial);
+    auto pointers = Pointers(buffers);
+    std::vector<float*> subset_pointers;
+    for (int w : subset) {
+      subset_pointers.push_back(pointers[static_cast<size_t>(w)]);
+    }
+    const double all_factor = single_tier::Slowest(factors, everyone);
+    const double subset_factor = single_tier::Slowest(factors, subset);
+
+    {
+      {
+        SimNetwork network = fresh();
+        network.AllReduceAverageWithPayloads(pointers, n, wire,
+                                             TrafficClass::kModelSync);
+        expect_charged(network.stats(),
+                       single_tier::AllReduce(model, algorithm, wire_sum,
+                                              workers, all_factor));
+      }
+      {
+        SimNetwork network = fresh();
+        network.AllReduceAverageSubset(subset_pointers, subset, n,
+                                       TrafficClass::kModelSync);
+        expect_charged(
+            network.stats(),
+            single_tier::AllReduce(model, algorithm, payload * subset.size(),
+                                   static_cast<int>(subset.size()),
+                                   subset_factor));
+      }
+      {
+        SimNetwork network = fresh();
+        network.AllReduceAverageSubsetWithPayloads(
+            subset_pointers, subset, n, subset_wire,
+            TrafficClass::kLocalState);
+        expect_charged(
+            network.stats(),
+            single_tier::AllReduce(model, algorithm, subset_wire_sum,
+                                   static_cast<int>(subset.size()),
+                                   subset_factor));
+      }
+      if (!subset.empty()) {
+        SimNetwork network = fresh();
+        network.AllReduceWeightedAverageSubset(subset_pointers, subset,
+                                               subset_weights, n,
+                                               TrafficClass::kModelSync);
+        expect_charged(
+            network.stats(),
+            single_tier::AllReduce(model, algorithm, payload * subset.size(),
+                                   static_cast<int>(subset.size()),
+                                   subset_factor));
+      }
+      {
+        SimNetwork network = fresh();
+        network.AccountCheckInSync(n, worker);
+        expect_charged(network.stats(),
+                       single_tier::Hop(model, payload, worker_factor));
+        EXPECT_EQ(network.stats().check_in_syncs, 1u);
+        EXPECT_EQ(network.stats().bytes_model_downlink, payload);
+      }
+      {
+        SimNetwork network = fresh();
+        network.AccountCatchUpSync(n, worker);
+        expect_charged(network.stats(),
+                       single_tier::Hop(model, payload, worker_factor));
+        EXPECT_EQ(network.stats().catch_up_syncs, 1u);
+        EXPECT_EQ(network.stats().bytes_model_downlink, payload);
+      }
+      for (size_t retry_payload : {payload, wire[0]}) {
+        SimNetwork network = fresh();
+        if (retry_payload == payload) {
+          network.AccountSyncRetries(worker, n, retries, backoff,
+                                     TrafficClass::kModelSync);
+        } else {
+          network.AccountSyncRetriesBytes(worker, retry_payload, retries,
+                                          backoff, TrafficClass::kModelSync);
+        }
+        single_tier::Charge expected;
+        for (int attempt = 0; attempt < retries; ++attempt) {
+          const single_tier::Charge hop =
+              single_tier::Hop(model, retry_payload, worker_factor,
+                               std::ldexp(backoff, attempt));
+          expected.bytes += hop.bytes;
+          expected.seconds += hop.seconds;
+        }
+        expect_charged(network.stats(), expected);
+        EXPECT_EQ(network.stats().seconds_retry, expected.seconds);
+        EXPECT_EQ(network.stats().retries, static_cast<uint64_t>(retries));
+      }
+    }
   }
 }
 
@@ -503,16 +810,16 @@ TEST(TopologyTreeTest, ThreeTierGroupedAllReduceGolden) {
   EXPECT_DOUBLE_EQ(cost.SecondsAt(0), 1e-2 + 2.0 * p / 1e8);
   EXPECT_EQ(cost.BytesAt(0), 2u * static_cast<uint64_t>(p));
 
-  // The SimNetwork charge splits match: depth 0 is the uplink, the rest
-  // intra, and everything sums to comm_seconds.
+  // The SimNetwork charge splits match: depth 0 is the uplink, the deeper
+  // tiers the rest, and everything sums to comm_seconds.
   SimNetwork network(8, tree, AllReduceAlgorithm::kFlat);
   auto buffers = RandomBuffers(8, n, 17);
   auto pointers = Pointers(buffers);
   const double predicted = network.ModelSyncSeconds(n * sizeof(float));
   network.AllReduceAverage(pointers, n, TrafficClass::kModelSync);
   const CommStats& stats = network.stats();
-  EXPECT_DOUBLE_EQ(stats.seconds_uplink, cost.SecondsAt(0));
-  EXPECT_DOUBLE_EQ(stats.seconds_intra,
+  EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(0), cost.SecondsAt(0));
+  EXPECT_DOUBLE_EQ(stats.SecondsAtDepth(1) + stats.SecondsAtDepth(2),
                    cost.SecondsAt(1) + cost.SecondsAt(2));
   EXPECT_DOUBLE_EQ(stats.comm_seconds, predicted);
   EXPECT_NEAR(stats.SecondsAtDepth(0) + stats.SecondsAtDepth(1) +
@@ -587,8 +894,9 @@ TEST(TopologyTreeTest, WorkerLayoutIsContiguousBalancedAndConsistent) {
 }
 
 TEST(TopologyTreeTest, Depth2LayoutMatchesHierarchicalClusterBlocks) {
-  auto h = HierarchicalNetworkModel::EdgeCloud(3);
-  TopologyTree tree = TopologyTree::FromHierarchy(h);
+  legacy::TwoTier h;
+  h.num_clusters = 3;
+  TopologyTree tree = TopologyTree::EdgeCloud(3);
   ASSERT_EQ(tree.depth(), 2);
   ASSERT_EQ(tree.num_leaf_groups(), 3);
   for (int workers : {3, 4, 7, 8, 11}) {
@@ -729,10 +1037,21 @@ TEST(TopologyTreeTest, PresetShapes) {
   EXPECT_EQ(dsc.depth(), 3);
   EXPECT_EQ(dsc.num_leaf_groups(), 6);
   EXPECT_EQ(dsc.num_nodes(), 1 + 3 + 6);
-  const TopologyTree two =
-      TopologyTree::FromHierarchy(HierarchicalNetworkModel::EdgeCloud(4));
+  const TopologyTree two = TopologyTree::EdgeCloud(4);
   EXPECT_EQ(two.depth(), 2);
   EXPECT_EQ(two.num_leaf_groups(), 4);
+  // A Federated() uplink at the root over EdgeLan() cluster links.
+  const NetworkModel uplink = NetworkModel::Federated();
+  const NetworkModel edge = NetworkModel::EdgeLan();
+  EXPECT_EQ(two.node(0).link.bandwidth_bytes_per_sec,
+            uplink.bandwidth_bytes_per_sec);
+  EXPECT_EQ(two.node(0).link.latency_seconds, uplink.latency_seconds);
+  for (int g = 0; g < 4; ++g) {
+    const TopologyTree::Node& leaf = two.node(two.NodeOfLeafGroup(g));
+    EXPECT_EQ(leaf.link.bandwidth_bytes_per_sec,
+              edge.bandwidth_bytes_per_sec);
+    EXPECT_EQ(leaf.link.latency_seconds, edge.latency_seconds);
+  }
 }
 
 }  // namespace

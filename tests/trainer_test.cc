@@ -333,7 +333,7 @@ TEST(TrainerTest, HierarchicalTopologyRunsAndSplitsTiers) {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(4);
   config.max_steps = 40;
-  config.hierarchy = HierarchicalNetworkModel::EdgeCloud(2);
+  config.topology = TopologyTree::EdgeCloud(2);
   DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
                              config);
   auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
@@ -342,10 +342,10 @@ TEST(TrainerTest, HierarchicalTopologyRunsAndSplitsTiers) {
   auto result = trainer.Run(policy->get());
   ASSERT_TRUE(result.ok());
   EXPECT_GT(result->total_syncs, 0u);
-  EXPECT_GT(result->comm.seconds_intra, 0.0);
-  EXPECT_GT(result->comm.seconds_uplink, 0.0);
+  EXPECT_GT(result->comm.SecondsAtDepth(1), 0.0);
+  EXPECT_GT(result->comm.SecondsAtDepth(0), 0.0);
   // Accumulated separately, so equal only up to rounding of the sums.
-  EXPECT_NEAR(result->comm.seconds_intra + result->comm.seconds_uplink,
+  EXPECT_NEAR(result->comm.SecondsAtDepth(1) + result->comm.SecondsAtDepth(0),
               result->comm.comm_seconds,
               1e-9 * std::max(1.0, result->comm.comm_seconds));
 }
@@ -358,12 +358,17 @@ TEST(TrainerTest, PerClusterIntraLinksSlowTheIntraTier) {
   auto run_with = [&](bool slow_cluster) {
     TrainerConfig config = BaseConfig(4);
     config.max_steps = 20;
-    config.hierarchy = HierarchicalNetworkModel::EdgeCloud(2);
-    if (slow_cluster) {
-      config.hierarchy.cluster_intra = {config.hierarchy.intra,
-                                        config.hierarchy.intra};
-      config.hierarchy.cluster_intra[1].bandwidth_bytes_per_sec /= 100.0;
+    // EdgeCloud(2) spelled out, so one cluster's link can be replaced.
+    TopologyNode root;
+    root.link = NetworkModel::Federated();
+    root.children.resize(2);
+    for (TopologyNode& cluster : root.children) {
+      cluster.link = NetworkModel::EdgeLan();
     }
+    if (slow_cluster) {
+      root.children[1].link.bandwidth_bytes_per_sec /= 100.0;
+    }
+    config.topology = TopologyTree(std::move(root), "EdgeCloud");
     DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
                                config);
     auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.2),
@@ -377,19 +382,9 @@ TEST(TrainerTest, PerClusterIntraLinksSlowTheIntraTier) {
   TrainResult hetero = run_with(true);
   ASSERT_GT(uniform.total_syncs, 0u);
   EXPECT_EQ(hetero.comm.bytes_total, uniform.comm.bytes_total);
-  EXPECT_GT(hetero.comm.seconds_intra, uniform.comm.seconds_intra);
-  EXPECT_DOUBLE_EQ(hetero.comm.seconds_uplink, uniform.comm.seconds_uplink);
-}
-
-TEST(TrainerTest, ValidationRejectsMismatchedClusterIntraSize) {
-  SynthImageData data = SmallMnistLike();
-  TrainerConfig config = BaseConfig(4);
-  config.hierarchy = HierarchicalNetworkModel::EdgeCloud(2);
-  config.hierarchy.cluster_intra = {config.hierarchy.intra};  // need 2
-  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
-                             config);
-  SynchronousPolicy policy;
-  EXPECT_FALSE(trainer.Run(&policy).ok());
+  EXPECT_GT(hetero.comm.SecondsAtDepth(1), uniform.comm.SecondsAtDepth(1));
+  EXPECT_DOUBLE_EQ(hetero.comm.SecondsAtDepth(0),
+                   uniform.comm.SecondsAtDepth(0));
 }
 
 TEST(TrainerTest, StragglerSlowsCollectivesViaSlowestLink) {
@@ -419,7 +414,7 @@ TEST(TrainerTest, StragglerSlowsCollectivesViaSlowestLink) {
 TEST(TrainerTest, HierarchyValidationRejectsTooManyClusters) {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(2);
-  config.hierarchy = HierarchicalNetworkModel::EdgeCloud(5);
+  config.topology = TopologyTree::EdgeCloud(5);
   DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
                              config);
   SynchronousPolicy policy;
