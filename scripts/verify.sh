@@ -31,11 +31,18 @@ ctest --test-dir "$BUILD_DIR" --output-on-failure -j"$(nproc)"
 # CHECKs the WireCodec pipeline on that same fleet — top-k + 8-bit sync
 # payloads with error feedback paged through the client store must cut
 # uplink sync bytes >= 4x at the same accuracy target.
-"$BUILD_DIR/quickstart" > /dev/null
+# Thread-count determinism of the whole trainer: every round's worker steps
+# run on the pool, so quickstart's output at 1 thread (the serial
+# reference) and at 4 must be byte-identical.
+QUICKSTART_OUT="$(mktemp -d)"
+trap 'rm -rf "$QUICKSTART_OUT"' EXIT
+FEDRA_NUM_THREADS=1 "$BUILD_DIR/quickstart" > "$QUICKSTART_OUT/t1.txt"
+FEDRA_NUM_THREADS=4 "$BUILD_DIR/quickstart" > "$QUICKSTART_OUT/t4.txt"
+cmp "$QUICKSTART_OUT/t1.txt" "$QUICKSTART_OUT/t4.txt"
 "$BUILD_DIR/hierarchical_fda" > /dev/null
 "$BUILD_DIR/deep_tree_fda" > /dev/null
 "$BUILD_DIR/churn_fda" > /dev/null
 FEDRA_FLEET_SMOKE=1 "$BUILD_DIR/fleet_fda" > /dev/null
 FEDRA_FLEET_SMOKE=1 "$BUILD_DIR/compressed_fleet_fda" > /dev/null
-echo "smoke: quickstart + hierarchical_fda + deep_tree_fda + churn_fda" \
-     "+ fleet_fda + compressed_fleet_fda OK"
+echo "smoke: quickstart (1 == 4 threads) + hierarchical_fda + deep_tree_fda" \
+     "+ churn_fda + fleet_fda + compressed_fleet_fda OK"

@@ -687,19 +687,13 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
                              : static_cast<int>(k);
     };
 
-    // Crashed workers compute nothing this round; everyone else steps.
-    auto run_worker = [&](size_t k) {
+    // The round's K local steps run across the pool (inline on a 1-thread
+    // pool); crashed workers compute nothing this round.
+    GlobalThreadPool().ParallelFor(workers.size(), [&](size_t k) {
       if (injector == nullptr || injector->IsUp(entity_of(k))) {
         WorkerStep(&workers[k], train_);
       }
-    };
-    if (config_.parallel_workers && workers.size() > 1) {
-      GlobalThreadPool().ParallelFor(workers.size(), run_worker);
-    } else {
-      for (size_t k = 0; k < workers.size(); ++k) {
-        run_worker(k);
-      }
-    }
+    });
 
     // BSP barrier: the step costs the slowest worker's sampled time.
     double step_seconds = 0.0;

@@ -9,6 +9,15 @@
 // family (periodic server-optimizer rounds). The trainer owns the paper's
 // two cost metrics: communication (bytes, via SimNetwork) and computation
 // (In-Parallel Learning Steps = loop iterations).
+//
+// Threading: each round's K worker steps always run across
+// GlobalThreadPool() (one ParallelFor per round; inline on a 1-thread
+// pool). Workers own disjoint arena rows, their own rng/sampler streams
+// and a leased execution slot of the shared graph, so the result is
+// bit-identical for any FEDRA_NUM_THREADS (docs/determinism.md). The rest
+// of a round — the policy, rotation, faults, evaluation — is driven from
+// the calling thread; its collectives and kernels fan out over the same
+// pool with fixed-chunk grains.
 
 #ifndef FEDRA_CORE_TRAINER_H_
 #define FEDRA_CORE_TRAINER_H_
@@ -166,9 +175,6 @@ struct TrainerConfig {
   /// mu * (w_k - w_global) to every local gradient, pulling workers toward
   /// the last synchronized model. 0 disables.
   float fedprox_mu = 0.0f;
-
-  /// Parallelize worker steps across threads (deterministic either way).
-  bool parallel_workers = false;
 
   // ------------------------------------------------------ cross-device --
   /// Simulated client population N. 0 (default) keeps the resident-cohort

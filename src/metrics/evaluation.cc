@@ -15,6 +15,9 @@ EvalResult EvaluateIndices(Model* model, const Dataset& dataset,
   EvalResult result;
   size_t correct = 0;
   double loss_sum = 0.0;
+  ModelGraph& graph = model->graph();
+  const ParameterView view = model->view();
+  ModelGraph::ExecSlot slot = graph.AcquireSlot();
   for (size_t start = 0; start < indices.size();
        start += static_cast<size_t>(batch_size)) {
     const size_t end = std::min(indices.size(),
@@ -23,7 +26,7 @@ EvalResult EvaluateIndices(Model* model, const Dataset& dataset,
                                     indices.begin() + static_cast<long>(end));
     Tensor images = dataset.GatherImages(batch);
     std::vector<int> labels = dataset.GatherLabels(batch);
-    Tensor logits = model->Forward(images, /*training=*/false);
+    Tensor logits = graph.Infer(images, view, slot);
     LossResult loss = SoftmaxCrossEntropy(logits, labels);
     correct += loss.correct;
     loss_sum += loss.loss * static_cast<double>(batch.size());

@@ -13,7 +13,9 @@
 //
 // The contract per execution context is unchanged: Forward precedes
 // Backward with the same ExecContext, and Backward *accumulates* into
-// parameter gradients (the caller zeroes grads per step).
+// parameter gradients (the caller zeroes grads per step). An inference
+// pass (ExecContext::inference) is a Forward that keeps nothing Backward
+// would read, so no Backward may follow it.
 
 #ifndef FEDRA_NN_LAYER_H_
 #define FEDRA_NN_LAYER_H_
@@ -89,15 +91,24 @@ class LayerStateStore {
 
   size_t size() const { return slots_.size(); }
 
+  /// True when the last pass through this store was a training-capable
+  /// Forward, whose caches a Backward may consume; false before any pass
+  /// and after an inference pass, which leaves the caches stale.
+  bool backward_ready() const { return backward_ready_; }
+  void set_backward_ready(bool ready) { backward_ready_ = ready; }
+
  private:
   std::vector<std::unique_ptr<LayerState>> slots_;
+  bool backward_ready_ = false;
 };
 
 /// Everything one Forward/Backward pair executes against: the parameter
 /// view, the per-execution layer state, and the per-call toggles (training
-/// enables dropout/batch-stats; rng drives stochastic layers).
+/// enables dropout/batch-stats; rng drives stochastic layers; inference
+/// makes a training=false Forward skip every cache only Backward reads).
 struct ExecContext {
   bool training = false;
+  bool inference = false;
   Rng* rng = nullptr;
   ParameterView view;
   LayerStateStore* states = nullptr;

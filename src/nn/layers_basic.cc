@@ -47,8 +47,9 @@ Tensor DenseLayer::Forward(const Tensor& input, ExecContext& ctx) {
   FEDRA_CHECK_EQ(input.rank(), 2);
   FEDRA_CHECK_EQ(input.dim(1), in_features_);
   const int batch = input.dim(0);
-  State& state = ctx.states->Get<State>(state_slot_);
-  state.cached_input = input;
+  if (!ctx.inference) {
+    ctx.states->Get<State>(state_slot_).cached_input = input;
+  }
   const float* weight = ctx.view.params + weight_offset_;
   const float* bias = ctx.view.params + bias_offset_;
   Tensor output({batch, out_features_});
@@ -130,8 +131,9 @@ void ActivationLayer::RegisterParams(ParameterStore* store) {
 }
 
 Tensor ActivationLayer::Forward(const Tensor& input, ExecContext& ctx) {
-  State& state = ctx.states->Get<State>(state_slot_);
-  state.cached_input = input;
+  if (!ctx.inference) {
+    ctx.states->Get<State>(state_slot_).cached_input = input;
+  }
   Tensor output = input;
   float* out = output.data();
   const size_t n = output.numel();

@@ -51,7 +51,9 @@ Tensor Conv2dLayer::Forward(const Tensor& input, ExecContext& ctx) {
   FEDRA_CHECK_EQ(input.rank(), 4);
   FEDRA_CHECK_EQ(input.dim(1), in_channels_);
   State& state = ctx.states->Get<State>(state_slot_);
-  state.cached_input = input;
+  if (!ctx.inference) {
+    state.cached_input = input;
+  }
   state.geometry = {input.dim(0), in_channels_, input.dim(2), input.dim(3),
                     out_channels_, kernel_,     stride_,      pad_};
   Tensor output({state.geometry.batch, out_channels_, state.geometry.out_h(),
@@ -115,7 +117,9 @@ Tensor DepthwiseConv2dLayer::Forward(const Tensor& input, ExecContext& ctx) {
   FEDRA_CHECK_EQ(input.rank(), 4);
   FEDRA_CHECK_EQ(input.dim(1), channels_);
   State& state = ctx.states->Get<State>(state_slot_);
-  state.cached_input = input;
+  if (!ctx.inference) {
+    state.cached_input = input;
+  }
   state.geometry = {input.dim(0), channels_, input.dim(2), input.dim(3),
                     channels_,    kernel_,   stride_,      pad_};
   Tensor output({state.geometry.batch, channels_, state.geometry.out_h(),

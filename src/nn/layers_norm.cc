@@ -48,14 +48,19 @@ Tensor BatchNorm2dLayer::Forward(const Tensor& input, ExecContext& ctx) {
       static_cast<size_t>(input.dim(2)) * static_cast<size_t>(input.dim(3));
 
   State& state = ctx.states->Get<State>(state_slot_);
-  state.cached_xhat = Tensor(input.shape());
   state.inv_std.assign(static_cast<size_t>(channels_), 0.0f);
   Tensor output(input.shape());
+  // The kernel writes xhat before the affine output; an inference pass
+  // aims it at the output itself, which the affine step then overwrites.
+  float* xhat = output.data();
+  if (!ctx.inference) {
+    state.cached_xhat = Tensor(input.shape());
+    xhat = state.cached_xhat.data();
+  }
   ops::BatchNorm2dForward(batch, channels_, plane, input.data(),
                           ctx.view.params + gamma_offset_,
-                          ctx.view.params + beta_offset_, epsilon_,
-                          state.cached_xhat.data(), state.inv_std.data(),
-                          output.data());
+                          ctx.view.params + beta_offset_, epsilon_, xhat,
+                          state.inv_std.data(), output.data());
   return output;
 }
 
@@ -130,7 +135,12 @@ Tensor LayerNormChannelsLayer::Forward(const Tensor& input,
   const size_t plane = static_cast<size_t>(height) * width;
   const size_t num_positions = static_cast<size_t>(batch) * plane;
 
-  state.cached_xhat = Tensor(input.shape());
+  // An inference pass keeps no xhat: each value feeds only its output.
+  float* xhat_cache = nullptr;
+  if (!ctx.inference) {
+    state.cached_xhat = Tensor(input.shape());
+    xhat_cache = state.cached_xhat.data();
+  }
   state.inv_std.assign(num_positions, 0.0f);
   Tensor output(input.shape());
 
@@ -156,7 +166,9 @@ Tensor LayerNormChannelsLayer::Forward(const Tensor& input,
       for (int c = 0; c < channels_; ++c) {
         const size_t idx = base + static_cast<size_t>(c) * plane;
         const float xhat = (input.data()[idx] - mean) * inv_std;
-        state.cached_xhat.data()[idx] = xhat;
+        if (xhat_cache != nullptr) {
+          xhat_cache[idx] = xhat;
+        }
         output.data()[idx] = gamma[c] * xhat + beta[c];
       }
     }

@@ -58,6 +58,18 @@ Tensor ModelGraph::Forward(const Tensor& input, const ParameterView& view,
   ctx.rng = rng;
   ctx.view = view;
   ctx.states = slot.states();
+  ctx.states->set_backward_ready(true);
+  return root_->Forward(input, ctx);
+}
+
+Tensor ModelGraph::Infer(const Tensor& input, const ParameterView& view,
+                         ExecSlot& slot) {
+  FEDRA_CHECK_EQ(view.dim, dim());
+  ExecContext ctx;
+  ctx.inference = true;
+  ctx.view = view;
+  ctx.states = slot.states();
+  ctx.states->set_backward_ready(false);
   return root_->Forward(input, ctx);
 }
 
@@ -67,6 +79,9 @@ void ModelGraph::Backward(const Tensor& grad_output,
   ExecContext ctx;
   ctx.view = view;
   ctx.states = slot.states();
+  FEDRA_CHECK(ctx.states->backward_ready())
+      << "Backward needs a preceding Forward on this slot; Infer keeps no "
+         "activations";
   root_->Backward(grad_output, ctx);
 }
 

@@ -5,7 +5,8 @@
 // buffers). One graph serves any number of workers concurrently — each
 // execution runs against a ParameterView (that worker's params/grads
 // slices) and an ExecSlot (a leased LayerStateStore holding the cached
-// activations / im2col workspaces of one in-flight Forward/Backward pair).
+// activations / im2col workspaces of one in-flight Forward/Backward pair,
+// or the workspaces alone of one Infer pass).
 // Slots are pooled and reused, so the number of live activation workspaces
 // scales with the number of *concurrent* executions (threads), not with
 // the worker count K.
@@ -89,8 +90,17 @@ class ModelGraph {
   Tensor Forward(const Tensor& input, const ParameterView& view,
                  ExecSlot& slot, bool training, Rng* rng = nullptr);
 
+  /// Inference pass: a training=false Forward whose layers skip what they
+  /// keep only for Backward (layer inputs, normalized activations), so an
+  /// evaluation batch raises no high-water mark beyond its live tensors.
+  /// Logits are bitwise those of Forward(input, view, slot, false). The
+  /// slot cannot feed a Backward until the next Forward.
+  Tensor Infer(const Tensor& input, const ParameterView& view,
+               ExecSlot& slot);
+
   /// Backward from d(loss)/d(output); accumulates into view.grads. Must use
-  /// the slot of the preceding Forward.
+  /// the slot of the preceding Forward; FEDRA_CHECK-fails when the slot's
+  /// last pass was Infer.
   void Backward(const Tensor& grad_output, const ParameterView& view,
                 ExecSlot& slot);
 

@@ -100,7 +100,8 @@ void GlobalAvgPoolBackward(int batch, int channels, int h, int w,
 /// Per-channel batch normalization over (batch, plane) using batch
 /// statistics. Writes xhat (normalized input, cached for backward), one
 /// inv_std per channel, and output = gamma * xhat + beta. `plane` is
-/// H * W for NCHW inputs.
+/// H * W for NCHW inputs. `xhat` may alias `output` (the inference pass
+/// keeps no xhat); the output then holds the affine result.
 void BatchNorm2dForward(int batch, int channels, size_t plane,
                         const float* input, const float* gamma,
                         const float* beta, float epsilon, float* xhat,

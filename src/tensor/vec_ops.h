@@ -75,6 +75,7 @@ void SumAndSquaredNorm(const float* x, size_t n, double* sum, double* sum_sq);
 
 /// Fused normalize kernel: xhat[i] = (x[i] - mean) * inv_std and
 /// y[i] = gamma * xhat[i] + beta. The BatchNorm forward normalize pass.
+/// `xhat` may alias `y`: each y[i] is written after its xhat[i].
 void NormalizeAffine(const float* x, float mean, float inv_std, float gamma,
                      float beta, float* xhat, float* y, size_t n);
 

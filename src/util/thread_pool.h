@@ -1,11 +1,11 @@
 // Work-stealing thread pool with chunked ParallelFor conveniences.
 //
-// The simulated cluster can evaluate worker-local training steps in parallel;
-// determinism is preserved because each worker owns its forked Rng stream and
-// workers never share mutable state within a step. The tensor backend also
-// uses the pool (GEMM row x column tile grid), so ParallelFor is re-entrancy
-// safe: a call made from inside a pool worker runs inline instead of
-// deadlocking on its completion token.
+// The simulated cluster runs every round's worker-local training steps in
+// parallel; determinism is preserved because each worker owns its forked Rng
+// stream and workers never share mutable state within a step. The tensor
+// backend also uses the pool (GEMM row x column tile grid), so ParallelFor is
+// re-entrancy safe: a call made from inside a pool worker runs inline instead
+// of deadlocking on its completion token.
 //
 // Scheduling model: each worker owns a lock-free Chase-Lev deque
 // (util/chase_lev_deque.h) — the owner pushes and pops LIFO at the bottom,
@@ -18,6 +18,11 @@
 // threads only ever wait for their *own* chunks — never each other's. The
 // calling thread participates in draining its own chunks, so a ParallelFor
 // makes progress even when every worker is busy with someone else's work.
+// Once its chunks are claimed, the caller spins a fixed number of
+// pause-hinted polls on the call's completion counter before it sleeps on
+// the call's condition variable (a trainer round ends in one such wait; see
+// kCallerSpinIterations). The spin reads no clock and has no knob; a chunk
+// that outlasts it still completes through the condvar.
 //
 // Affinity: with FEDRA_AFFINITY set (anything but "0"/"off"), worker i pins
 // itself to core i modulo the online core count at startup (Linux only;

@@ -6,11 +6,7 @@
 // FEDRA_NUM_THREADS via a child-process sweep), TrainerConfig fleet
 // validation, and an end-to-end fleet trainer smoke run.
 
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <set>
 #include <string>
 #include <vector>
@@ -26,6 +22,7 @@
 #include "nn/zoo.h"
 #include "sim/fault_model.h"
 #include "sim/topology_tree.h"
+#include "tests/test_util.h"
 
 namespace fedra {
 namespace {
@@ -416,14 +413,9 @@ TEST(CohortSamplerTest, AvailabilitySamplingAvoidsDownClients) {
 
 // ----------------------------------------- thread-count determinism sweep --
 
-uint64_t HashU64(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-  return h;
-}
-
-/// Fleet-mode end-to-end workload whose history hash must be independent of
+/// Fleet-mode end-to-end workload whose result hash must be independent of
 /// FEDRA_NUM_THREADS: population 12 over 4 resident slots, rotations every
-/// 3 steps, parallel workers on.
+/// 3 steps.
 uint64_t ComputeFleetSweepHash() {
   SynthImageConfig synth = MnistLikeConfig();
   synth.num_train = 256;
@@ -439,7 +431,6 @@ uint64_t ComputeFleetSweepHash() {
   config.max_steps = 12;
   config.eval_every_steps = 4;
   config.eval_subset = 64;
-  config.parallel_workers = true;
   config.population = 12;
   config.cohort_size = 4;
   config.cohort_steps = 3;
@@ -450,18 +441,7 @@ uint64_t ComputeFleetSweepHash() {
   FEDRA_CHECK(policy.ok());
   auto result = trainer.Run(policy->get());
   FEDRA_CHECK(result.ok());
-  uint64_t hash = 0x811c9dc5ULL;
-  for (const EvalPoint& p : result->history) {
-    uint64_t bits;
-    hash = HashU64(hash, p.step);
-    std::memcpy(&bits, &p.test_accuracy, sizeof(bits));
-    hash = HashU64(hash, bits);
-    std::memcpy(&bits, &p.train_accuracy, sizeof(bits));
-    hash = HashU64(hash, bits);
-    hash = HashU64(hash, p.bytes);
-    hash = HashU64(hash, p.sync_count);
-  }
-  return hash;
+  return testing::HashTrainResult(*result);
 }
 
 // Prints the workload hash; also a plain determinism check within one
@@ -470,60 +450,24 @@ uint64_t ComputeFleetSweepHash() {
 TEST(ClientStoreThreadSweepTest, HashModePrintsWorkloadHash) {
   const uint64_t hash = ComputeFleetSweepHash();
   EXPECT_EQ(hash, ComputeFleetSweepHash());
-  std::printf("FLEETHASH %016llx\n", static_cast<unsigned long long>(hash));
+  std::printf("FLEETHASH %s\n", testing::HexHash(hash).c_str());
 }
 
 TEST(ClientStoreThreadSweepTest, BitIdenticalAcrossThreadCounts) {
-  if (std::getenv("FEDRA_FLEET_SWEEP_CHILD") != nullptr) {
-    GTEST_SKIP() << "child process of the sweep";
+  if (testing::SkipThreadSweep()) {
+    GTEST_SKIP() << "sweep child, or no /proc/self/exe to re-execute";
   }
-  // The global pool is sized once per process, so the sweep re-executes
-  // this binary with FEDRA_NUM_THREADS pinned and compares the workload
-  // hashes printed by HashModePrintsWorkloadHash.
-  char exe[4096];
-  const ssize_t len = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  if (len <= 0) {
-    GTEST_SKIP() << "cannot resolve /proc/self/exe on this platform";
+  // Each child (and this process, at whatever pool size it runs) must
+  // produce the same hash; a failed child returns "child-failed".
+  const std::string expected = testing::HexHash(ComputeFleetSweepHash());
+  for (int threads : {1, 4, 16}) {
+    EXPECT_EQ(testing::RunWithThreads(threads,
+                                      "ClientStoreThreadSweepTest."
+                                      "HashModePrintsWorkloadHash",
+                                      "FLEETHASH"),
+              expected)
+        << threads << " threads";
   }
-  exe[len] = '\0';
-  auto hash_with_threads = [&](int threads) {
-    std::string command =
-        "FEDRA_FLEET_SWEEP_CHILD=1 FEDRA_NUM_THREADS=" +
-        std::to_string(threads) + " '" + std::string(exe) +
-        "' --gtest_filter='ClientStoreThreadSweepTest."
-        "HashModePrintsWorkloadHash' 2>/dev/null";
-    FILE* pipe = popen(command.c_str(), "r");
-    if (pipe == nullptr) {
-      return std::string("popen-failed");
-    }
-    std::string hash;
-    char line[256];
-    while (std::fgets(line, sizeof(line), pipe) != nullptr) {
-      if (std::strncmp(line, "FLEETHASH ", 10) == 0) {
-        hash.assign(line + 10);
-        while (!hash.empty() &&
-               (hash.back() == '\n' || hash.back() == '\r')) {
-          hash.pop_back();
-        }
-      }
-    }
-    const int status = pclose(pipe);
-    if (status != 0 || hash.empty()) {
-      return std::string("child-failed");
-    }
-    return hash;
-  };
-  const std::string h1 = hash_with_threads(1);
-  const std::string h4 = hash_with_threads(4);
-  const std::string h16 = hash_with_threads(16);
-  ASSERT_NE(h1, "popen-failed");
-  ASSERT_NE(h1, "child-failed");
-  EXPECT_EQ(h1, h4);
-  EXPECT_EQ(h1, h16);
-  char expected[32];
-  std::snprintf(expected, sizeof(expected), "%016llx",
-                static_cast<unsigned long long>(ComputeFleetSweepHash()));
-  EXPECT_EQ(h1, expected);
 }
 
 // -------------------------------------------------- end-to-end smoke run --

@@ -7,7 +7,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -21,6 +23,7 @@
 #include "sim/fault_model.h"
 #include "sim/topology_tree.h"
 #include "tensor/vec_ops.h"
+#include "tests/test_util.h"
 
 namespace fedra {
 namespace {
@@ -487,45 +490,41 @@ TEST(FaultTrainerTest, ImpossibleDeadlineSkipsEveryRound) {
   EXPECT_GT(result->final_test_accuracy, 0.0);
 }
 
-TEST(FaultTrainerTest, FaultScheduleIndependentOfWorkerParallelism) {
+// The fault schedule and every downstream number are a pure function of
+// (config, seed), never of the worker execution order: a child pinned to
+// FEDRA_NUM_THREADS=1 (the serial reference) and one at 4 must print the
+// same result hash, rejoins, retries and drops included.
+uint64_t FaultSweepHash() {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(4);
   config.faults = FaultConfig::Churn(5.0, 2.0);
   config.faults.message_loss_prob = 0.05;
+  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                             config);
+  LocalSgdPolicy policy(TauSchedule::Fixed(4));
+  auto result = trainer.Run(&policy);
+  FEDRA_CHECK(result.ok());
+  return testing::HashTrainResult(*result);
+}
 
-  DistributedTrainer serial(SmallMlpFactory(), data.train, data.test,
-                            config);
-  LocalSgdPolicy policy_a(TauSchedule::Fixed(4));
-  auto serial_result = serial.Run(&policy_a);
-  ASSERT_TRUE(serial_result.ok());
+TEST(FaultTrainerThreadSweepTest, HashModePrintsWorkloadHash) {
+  std::printf("FAULTHASH %s\n", testing::HexHash(FaultSweepHash()).c_str());
+}
 
-  config.parallel_workers = true;
-  DistributedTrainer parallel(SmallMlpFactory(), data.train, data.test,
-                              config);
-  LocalSgdPolicy policy_b(TauSchedule::Fixed(4));
-  auto parallel_result = parallel.Run(&policy_b);
-  ASSERT_TRUE(parallel_result.ok());
-
-  // The fault schedule and every downstream number are a pure function of
-  // (config, seed) — never of the worker execution order.
-  EXPECT_EQ(serial_result->rejoin_count, parallel_result->rejoin_count);
-  EXPECT_EQ(serial_result->comm.retries, parallel_result->comm.retries);
-  EXPECT_EQ(serial_result->comm.dropped_messages,
-            parallel_result->comm.dropped_messages);
-  EXPECT_EQ(serial_result->comm.bytes_total,
-            parallel_result->comm.bytes_total);
-  EXPECT_EQ(serial_result->total_syncs, parallel_result->total_syncs);
-  EXPECT_EQ(serial_result->final_test_accuracy,
-            parallel_result->final_test_accuracy);
-  ASSERT_EQ(serial_result->history.size(),
-            parallel_result->history.size());
-  for (size_t i = 0; i < serial_result->history.size(); ++i) {
-    EXPECT_EQ(serial_result->history[i].test_accuracy,
-              parallel_result->history[i].test_accuracy);
-    EXPECT_EQ(serial_result->history[i].sim_seconds,
-              parallel_result->history[i].sim_seconds);
-    EXPECT_EQ(serial_result->history[i].bytes,
-              parallel_result->history[i].bytes);
+TEST(FaultTrainerThreadSweepTest, FaultScheduleIndependentOfThreadCount) {
+  if (testing::SkipThreadSweep()) {
+    GTEST_SKIP() << "sweep child, or no /proc/self/exe to re-execute";
+  }
+  // Each child (and this process, at whatever pool size it runs) must
+  // produce the same hash; a failed child returns "child-failed".
+  const std::string expected = testing::HexHash(FaultSweepHash());
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(testing::RunWithThreads(threads,
+                                      "FaultTrainerThreadSweepTest."
+                                      "HashModePrintsWorkloadHash",
+                                      "FAULTHASH"),
+              expected)
+        << threads << " threads";
   }
 }
 

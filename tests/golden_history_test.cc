@@ -4,7 +4,10 @@
 // that execution is *bit-identical* to the old one-Model-per-worker trainer:
 // for a fixed seed, DistributedTrainer::Run and AsyncFdaTrainer::Run must
 // produce the same EvalPoint history (step, accuracies, bytes, sync_count)
-// they produced before the refactor, with parallel_workers on or off.
+// they produced before the refactor. Worker steps always run on the global
+// pool, so the goldens must hold at every FEDRA_NUM_THREADS: the suite
+// passes in the default and single-thread legs, and the thread sweep at the
+// end re-runs the parallel workloads in children at 1 and 4 threads.
 //
 // The GOLDEN arrays below were captured from the pre-refactor trainer
 // (commit c11813b) by running this test with FEDRA_GOLDEN_PRINT=1; the
@@ -16,6 +19,7 @@
 
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -27,6 +31,7 @@
 #include "nn/zoo.h"
 #include "sim/topology_tree.h"
 #include "tensor/simd_dispatch.h"
+#include "tests/test_util.h"
 
 namespace fedra {
 namespace {
@@ -151,24 +156,21 @@ TrainerConfig MlpConfig(int num_workers) {
   return config;
 }
 
-TEST(GoldenHistoryTest, MlpLinearFdaSequentialAndParallel) {
-  SynthImageData data = SmallMnistLike();
+TrainResult RunMlpLinearFda(const SynthImageData& data) {
   auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
-  auto run_with = [&](bool parallel) {
-    TrainerConfig config = MlpConfig(4);
-    config.parallel_workers = parallel;
-    DistributedTrainer trainer(factory, data.train, data.test, config);
-    auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
-                                 trainer.model_dim());
-    FEDRA_CHECK(policy.ok());
-    auto result = trainer.Run(policy->get());
-    FEDRA_CHECK(result.ok());
-    return result->history;
-  };
-  std::vector<EvalPoint> sequential = run_with(false);
-  std::vector<EvalPoint> parallel = run_with(true);
-  ExpectHistoryMatches("MlpLinearFda", sequential, kMlpLinearFda);
-  ExpectHistoriesBitIdentical(sequential, parallel);
+  DistributedTrainer trainer(factory, data.train, data.test, MlpConfig(4));
+  auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
+                               trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+TEST(GoldenHistoryTest, MlpLinearFda) {
+  ExpectHistoryMatches("MlpLinearFda",
+                       RunMlpLinearFda(SmallMnistLike()).history,
+                       kMlpLinearFda);
 }
 
 TEST(GoldenHistoryTest, LenetSynchronous) {
@@ -240,64 +242,54 @@ const GoldenPoint kMlpHier3Tier[] = {
     {60, 0.9453125, 0.8984375, 9297792ull, 2ull, 1.2237536511999991},
 };
 
-TEST(GoldenHistoryTest, ThreeTierHierarchicalFdaSequentialAndParallel) {
-  SynthImageData data = SmallMnistLike();
+TrainResult RunThreeTierHierarchicalFda(const SynthImageData& data) {
   auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
-  auto run_with = [&](bool parallel) {
-    TrainerConfig config = MlpConfig(8);
-    config.parallel_workers = parallel;
-    config.topology = TopologyTree::DeviceSiteCloud(2, 2);
-    DistributedTrainer trainer(factory, data.train, data.test, config);
-    HierarchicalFdaConfig policy_config;
-    policy_config.monitor.kind = MonitorKind::kLinear;
-    policy_config.theta_by_depth = {1.2, 0.5, 0.2};
-    auto policy =
-        MakeHierarchicalFdaPolicy(policy_config, trainer.model_dim());
-    FEDRA_CHECK(policy.ok());
-    auto result = trainer.Run(policy->get());
-    FEDRA_CHECK(result.ok());
-    return result->history;
-  };
-  std::vector<EvalPoint> sequential = run_with(false);
-  std::vector<EvalPoint> parallel = run_with(true);
-  ExpectHistoryMatches("MlpHier3Tier", sequential, kMlpHier3Tier);
-  ExpectHistoriesBitIdentical(sequential, parallel);
+  TrainerConfig config = MlpConfig(8);
+  config.topology = TopologyTree::DeviceSiteCloud(2, 2);
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  HierarchicalFdaConfig policy_config;
+  policy_config.monitor.kind = MonitorKind::kLinear;
+  policy_config.theta_by_depth = {1.2, 0.5, 0.2};
+  auto policy = MakeHierarchicalFdaPolicy(policy_config, trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+TEST(GoldenHistoryTest, ThreeTierHierarchicalFda) {
+  ExpectHistoryMatches("MlpHier3Tier",
+                       RunThreeTierHierarchicalFda(SmallMnistLike()).history,
+                       kMlpHier3Tier);
 }
 
 /// Composite coverage (BatchNorm, Dropout, DenseBlock, transitions) under
-/// the shared graph: parallel and sequential worker execution must be
-/// bit-identical. Runtime-compared (no hard-coded floats) so it holds on
-/// any toolchain.
-TEST(GoldenHistoryTest, DenseNetParallelMatchesSequentialBitExact) {
+/// the shared graph. No golden array: the thread sweep below compares it
+/// across pool sizes at runtime, so it holds on any toolchain.
+TrainResult RunDenseNetLinearFda() {
   SynthImageConfig synth = MnistLikeConfig();
   synth.num_train = 64;
   synth.num_test = 32;
   synth.image_size = 16;
   auto data = GenerateSynthImages(synth);
-  ASSERT_TRUE(data.ok());
+  FEDRA_CHECK(data.ok());
   auto factory = [] { return zoo::DenseNet121Lite(1, 16, 10); };
-  auto run_with = [&](bool parallel) {
-    TrainerConfig config;
-    config.num_workers = 2;
-    config.batch_size = 4;
-    config.local_optimizer = OptimizerConfig::SgdMomentum(0.01f, 0.9f, true);
-    config.seed = 5;
-    config.max_steps = 4;
-    config.eval_every_steps = 2;
-    config.eval_subset = 32;
-    config.parallel_workers = parallel;
-    DistributedTrainer trainer(factory, data->train, data->test, config);
-    auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.1),
-                                 trainer.model_dim());
-    FEDRA_CHECK(policy.ok());
-    auto result = trainer.Run(policy->get());
-    FEDRA_CHECK(result.ok());
-    return result->history;
-  };
-  std::vector<EvalPoint> sequential = run_with(false);
-  std::vector<EvalPoint> parallel = run_with(true);
-  ASSERT_FALSE(sequential.empty());
-  ExpectHistoriesBitIdentical(sequential, parallel);
+  TrainerConfig config;
+  config.num_workers = 2;
+  config.batch_size = 4;
+  config.local_optimizer = OptimizerConfig::SgdMomentum(0.01f, 0.9f, true);
+  config.seed = 5;
+  config.max_steps = 4;
+  config.eval_every_steps = 2;
+  config.eval_subset = 32;
+  DistributedTrainer trainer(factory, data->train, data->test, config);
+  auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.1),
+                               trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  FEDRA_CHECK(!result->history.empty());
+  return std::move(result).value();
 }
 
 // ---------------------------------------------------------------------------
@@ -397,6 +389,43 @@ TEST(GoldenHistoryTest, FleetFaultedPopulationEqualsCohortBitIdentical) {
   EXPECT_EQ(resident.rejoin_count, fleet.rejoin_count);
   EXPECT_EQ(resident.comm.bytes_total, fleet.comm.bytes_total);
   EXPECT_EQ(fleet.comm.check_in_syncs, 0ull);
+}
+
+// ---------------------------------------------------------------------------
+// Thread-count parity: the parallel workloads above (4- and 8-worker MLPs,
+// the BatchNorm DenseNet) must produce bit-identical results for any pool
+// size. The global pool is sized once per process, so the sweep re-runs
+// the hash test in children pinned to 1 and 4 threads; the 1-thread child
+// is the serial reference.
+
+uint64_t GoldenSweepHash() {
+  const SynthImageData data = SmallMnistLike();
+  uint64_t hash = testing::HashTrainResult(RunMlpLinearFda(data));
+  hash = hash * 31 +
+         testing::HashTrainResult(RunThreeTierHierarchicalFda(data));
+  return hash * 31 + testing::HashTrainResult(RunDenseNetLinearFda());
+}
+
+TEST(GoldenHistoryThreadSweepTest, HashModePrintsWorkloadHash) {
+  std::printf("GOLDENHASH %s\n",
+              testing::HexHash(GoldenSweepHash()).c_str());
+}
+
+TEST(GoldenHistoryThreadSweepTest, BitIdenticalAcrossThreadCounts) {
+  if (testing::SkipThreadSweep()) {
+    GTEST_SKIP() << "sweep child, or no /proc/self/exe to re-execute";
+  }
+  // Each child (and this process, at whatever pool size it runs) must
+  // produce the same hash; a failed child returns "child-failed".
+  const std::string expected = testing::HexHash(GoldenSweepHash());
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(testing::RunWithThreads(threads,
+                                      "GoldenHistoryThreadSweepTest."
+                                      "HashModePrintsWorkloadHash",
+                                      "GOLDENHASH"),
+              expected)
+        << threads << " threads";
+  }
 }
 
 }  // namespace

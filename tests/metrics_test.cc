@@ -2,7 +2,10 @@
 // least-squares fits (the Fig. 12 machinery), ASCII plots, and model
 // evaluation.
 
+#include <algorithm>
 #include <cmath>
+#include <memory>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -11,6 +14,7 @@
 #include "metrics/evaluation.h"
 #include "metrics/kde.h"
 #include "metrics/summary.h"
+#include "nn/loss.h"
 #include "nn/zoo.h"
 #include "util/rng.h"
 
@@ -278,6 +282,68 @@ TEST(EvaluationTest, SubsetLargerThanDatasetFallsBack) {
   model->InitParams(11);
   EvalResult result = EvaluateSubset(model.get(), data->test, 1000, 7);
   EXPECT_EQ(result.samples, 16u);
+}
+
+// Evaluate runs the inference pass; it must score exactly like the plain
+// eval-mode Forward loop it replaced, batch by batch.
+EvalResult ForwardLoop(Model* model, const Dataset& dataset,
+                       const std::vector<size_t>& indices) {
+  const size_t kBatch = 256;
+  size_t correct = 0;
+  double loss_sum = 0.0;
+  for (size_t start = 0; start < indices.size(); start += kBatch) {
+    const std::vector<size_t> batch(
+        indices.begin() + static_cast<long>(start),
+        indices.begin() +
+            static_cast<long>(std::min(indices.size(), start + kBatch)));
+    Tensor logits =
+        model->Forward(dataset.GatherImages(batch), /*training=*/false);
+    LossResult loss =
+        SoftmaxCrossEntropy(logits, dataset.GatherLabels(batch));
+    correct += loss.correct;
+    loss_sum += loss.loss * static_cast<double>(batch.size());
+  }
+  EvalResult result;
+  result.samples = indices.size();
+  result.accuracy =
+      static_cast<double>(correct) / static_cast<double>(indices.size());
+  result.mean_loss = loss_sum / static_cast<double>(indices.size());
+  return result;
+}
+
+void ExpectSameEval(const EvalResult& got, const EvalResult& expected) {
+  EXPECT_EQ(got.samples, expected.samples);
+  EXPECT_EQ(got.accuracy, expected.accuracy);
+  EXPECT_EQ(got.mean_loss, expected.mean_loss);
+}
+
+TEST(EvaluationTest, InferencePassMatchesForwardLoop) {
+  // 300 samples: one full 256 batch plus a ragged 44. DenseNet121Lite
+  // carries BatchNorm, whose eval statistics come from each batch.
+  SynthImageConfig config = MnistLikeConfig();
+  config.num_train = 300;
+  config.num_test = 300;
+  config.image_size = 16;
+  auto data = GenerateSynthImages(config);
+  ASSERT_TRUE(data.ok());
+  std::vector<std::unique_ptr<Model>> models;
+  models.push_back(zoo::LeNet5(1, 16, 10));
+  models.push_back(zoo::DenseNet121Lite(1, 16, 10));
+  for (auto& model : models) {
+    SCOPED_TRACE(model->name());
+    model->InitParams(12);
+    std::vector<size_t> all(data->test.size());
+    for (size_t i = 0; i < all.size(); ++i) {
+      all[i] = i;
+    }
+    ExpectSameEval(Evaluate(model.get(), data->test),
+                   ForwardLoop(model.get(), data->test, all));
+    Rng rng(8);
+    std::vector<size_t> subset = rng.Permutation(data->train.size());
+    subset.resize(270);
+    ExpectSameEval(EvaluateSubset(model.get(), data->train, 270, 8),
+                   ForwardLoop(model.get(), data->train, subset));
+  }
 }
 
 }  // namespace

@@ -1,6 +1,11 @@
 #include "tests/test_util.h"
 
+#include <unistd.h>
+
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <cstring>
 
 #include "nn/loss.h"
 #include "util/check.h"
@@ -93,6 +98,94 @@ GradCheckResult CheckParamGradient(Model* model, const Tensor& input,
     UpdateErrors(static_cast<double>(model->grads()[i]), numeric, &result);
   }
   return result;
+}
+
+namespace {
+
+constexpr char kSweepChildEnv[] = "FEDRA_THREAD_SWEEP_CHILD";
+
+std::string SelfExecutable() {
+  char exe[4096];
+  const ssize_t len = readlink("/proc/self/exe", exe, sizeof(exe) - 1);
+  if (len <= 0) {
+    return std::string();
+  }
+  return std::string(exe, static_cast<size_t>(len));
+}
+
+uint64_t HashMix(uint64_t hash, uint64_t value) {
+  return hash ^ (value + 0x9e3779b97f4a7c15ULL + (hash << 6) + (hash >> 2));
+}
+
+uint64_t Bits(double value) {
+  uint64_t bits;
+  std::memcpy(&bits, &value, sizeof(bits));
+  return bits;
+}
+
+}  // namespace
+
+bool SkipThreadSweep() {
+  return std::getenv(kSweepChildEnv) != nullptr || SelfExecutable().empty();
+}
+
+std::string RunWithThreads(int threads, const std::string& gtest_filter,
+                           const std::string& tag) {
+  const std::string command = std::string(kSweepChildEnv) +
+                              "=1 FEDRA_NUM_THREADS=" +
+                              std::to_string(threads) + " '" +
+                              SelfExecutable() + "' --gtest_filter='" +
+                              gtest_filter + "' 2>/dev/null";
+  FILE* pipe = popen(command.c_str(), "r");
+  if (pipe == nullptr) {
+    return "child-failed";
+  }
+  const std::string prefix = tag + " ";
+  std::string value;
+  char line[256];
+  while (std::fgets(line, sizeof(line), pipe) != nullptr) {
+    if (std::strncmp(line, prefix.c_str(), prefix.size()) == 0) {
+      value.assign(line + prefix.size());
+      while (!value.empty() &&
+             (value.back() == '\n' || value.back() == '\r')) {
+        value.pop_back();
+      }
+    }
+  }
+  if (pclose(pipe) != 0 || value.empty()) {
+    return "child-failed";
+  }
+  return value;
+}
+
+std::string HexHash(uint64_t hash) {
+  char text[32];
+  std::snprintf(text, sizeof(text), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return text;
+}
+
+uint64_t HashTrainResult(const TrainResult& result) {
+  uint64_t hash = 0x811c9dc5ULL;
+  for (const EvalPoint& p : result.history) {
+    hash = HashMix(hash, p.step);
+    hash = HashMix(hash, Bits(p.train_accuracy));
+    hash = HashMix(hash, Bits(p.test_accuracy));
+    hash = HashMix(hash, p.bytes);
+    hash = HashMix(hash, p.sync_count);
+    hash = HashMix(hash, Bits(p.sim_seconds));
+  }
+  for (uint64_t value :
+       {uint64_t{result.reached_target}, uint64_t{result.steps_to_target},
+        result.bytes_to_target, uint64_t{result.total_steps},
+        result.total_syncs, result.comm.bytes_total, result.comm.retries,
+        result.comm.dropped_messages, result.rejoin_count,
+        result.zero_participant_rounds, result.skipped_syncs,
+        Bits(result.final_test_accuracy), Bits(result.final_train_accuracy),
+        Bits(result.compute_seconds)}) {
+    hash = HashMix(hash, value);
+  }
+  return hash;
 }
 
 }  // namespace testing

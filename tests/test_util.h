@@ -5,10 +5,13 @@
 #define FEDRA_TESTS_TEST_UTIL_H_
 
 #include <cmath>
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "core/trainer.h"
 #include "nn/layer.h"
 #include "nn/model.h"
 #include "tensor/tensor.h"
@@ -82,6 +85,31 @@ GradCheckResult CheckParamGradient(Model* model, const Tensor& input,
                                    const std::vector<int>& labels,
                                    size_t num_probes, uint64_t seed,
                                    double epsilon = 1e-3);
+
+// ------------------------------------------------ thread-count parity --
+//
+// The global pool is sized once per process, so a sweep re-executes this
+// test binary with FEDRA_NUM_THREADS pinned, runs one test that prints
+// "<tag> <value>", and compares the values the children printed.
+
+/// True inside a sweep's child process, or when this binary cannot
+/// re-execute itself (no /proc/self/exe): sweep tests skip themselves then.
+bool SkipThreadSweep();
+
+/// Runs the tests matching `gtest_filter` of this binary in a child
+/// process at FEDRA_NUM_THREADS = `threads` and returns the text after
+/// "<tag> " on the last line starting with it; "child-failed" when the
+/// child exits non-zero or prints no such line.
+std::string RunWithThreads(int threads, const std::string& gtest_filter,
+                           const std::string& tag);
+
+/// The "%016llx" spelling of a hash, as sweep children print it.
+std::string HexHash(uint64_t hash);
+
+/// Hash of everything the determinism contract fixes about a run: every
+/// evaluation point (accuracies and simulated seconds by their bits), the
+/// totals, the final accuracies and the fault-layer counters.
+uint64_t HashTrainResult(const TrainResult& result);
 
 }  // namespace testing
 }  // namespace fedra

@@ -303,5 +303,72 @@ TEST(ThreadPoolStressTest, ParallelForWhileScheduledTasksAreBlocked) {
   pool.Wait();
 }
 
+TEST(ThreadPoolStressTest, LastChunkOutlastingTheSpinFallsBackToCondvar) {
+  // The caller spins a bounded number of polls after draining its own
+  // chunks, then sleeps on the call's condvar. Here the last chunk runs on
+  // a worker for 100 ms, orders of magnitude past any spin length, so the
+  // caller must take the condvar path, be woken by the final chunk, and
+  // still return only after that chunk's writes are visible.
+  ThreadPool pool(4);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> worker_started{false};
+  std::atomic<bool> rendezvous_ok{true};
+  bool slow_chunk_done = false;  // written by the worker, read after return
+  for (int round = 0; round < 3; ++round) {
+    worker_started.store(false);
+    slow_chunk_done = false;
+    pool.ParallelFor(2, [&](size_t) {
+      if (std::this_thread::get_id() == caller) {
+        // Hold the caller's chunk until a worker has claimed the other
+        // one, so the slow chunk is guaranteed to run off the caller.
+        if (!WaitFor([&] { return worker_started.load(); }, 5000ms)) {
+          rendezvous_ok.store(false);
+        }
+        return;
+      }
+      worker_started.store(true);
+      std::this_thread::sleep_for(100ms);
+      slow_chunk_done = true;
+    });
+    ASSERT_TRUE(rendezvous_ok.load()) << "no worker claimed a chunk";
+    EXPECT_TRUE(slow_chunk_done) << "caller returned before the last chunk";
+  }
+}
+
+TEST(ThreadPoolStressTest, NestedCallMakesProgressWithEveryPeerBlocked) {
+  // A nested ParallelFor from a pool worker whose peers are all parked on
+  // a gate has nobody to steal its runners: the nested caller drains every
+  // chunk itself, its spin sees the counter complete, and it returns while
+  // the gate is still closed.
+  ThreadPool pool(3);
+  std::mutex gate_mutex;
+  std::condition_variable gate_cv;
+  bool gate_open = false;
+  std::atomic<int> blocked{0};
+  std::atomic<int> nested_total{0};
+  std::atomic<bool> nested_done{false};
+  for (int i = 0; i < 2; ++i) {
+    pool.Schedule([&] {
+      ++blocked;
+      std::unique_lock<std::mutex> lock(gate_mutex);
+      gate_cv.wait(lock, [&] { return gate_open; });
+    });
+  }
+  ASSERT_TRUE(WaitFor([&] { return blocked.load() == 2; }, 5000ms));
+  pool.Schedule([&] {
+    pool.ParallelFor(64, [&](size_t) { ++nested_total; });
+    nested_done.store(true);
+  });
+  EXPECT_TRUE(WaitFor([&] { return nested_done.load(); }, 5000ms))
+      << "nested call stalled behind blocked peers";
+  EXPECT_EQ(nested_total.load(), 64);
+  {
+    std::lock_guard<std::mutex> lock(gate_mutex);
+    gate_open = true;
+  }
+  gate_cv.notify_all();
+  pool.Wait();
+}
+
 }  // namespace
 }  // namespace fedra

@@ -15,13 +15,10 @@
 //   4. degeneracy — a single-node tree bills every SimNetwork entry point
 //      exactly as the single-channel NetworkModel closed forms do.
 
-#include <unistd.h>
-
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -32,6 +29,7 @@
 #include "sim/network_model.h"
 #include "sim/topology_tree.h"
 #include "tensor/ref_ops.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace fedra {
@@ -950,63 +948,24 @@ uint64_t ComputeThreadSweepHash() {
 TEST(TopologyTreeThreadSweepTest, HashModePrintsWorkloadHash) {
   const uint64_t hash = ComputeThreadSweepHash();
   EXPECT_EQ(hash, ComputeThreadSweepHash());
-  std::printf("TREEHASH %016llx\n",
-              static_cast<unsigned long long>(hash));
+  std::printf("TREEHASH %s\n", testing::HexHash(hash).c_str());
 }
 
 TEST(TopologyTreeThreadSweepTest, BitIdenticalAcrossThreadCounts) {
-  if (std::getenv("FEDRA_TREE_SWEEP_CHILD") != nullptr) {
-    GTEST_SKIP() << "child process of the sweep";
+  if (testing::SkipThreadSweep()) {
+    GTEST_SKIP() << "sweep child, or no /proc/self/exe to re-execute";
   }
-  // The global pool is sized once per process, so the sweep re-executes
-  // this binary with FEDRA_NUM_THREADS pinned and compares the workload
-  // hashes printed by HashModePrintsWorkloadHash.
-  char exe[4096];
-  const ssize_t len =
-      readlink("/proc/self/exe", exe, sizeof(exe) - 1);
-  if (len <= 0) {
-    GTEST_SKIP() << "cannot resolve /proc/self/exe on this platform";
+  // Each child (and this process, at whatever pool size it runs) must
+  // produce the same hash; a failed child returns "child-failed".
+  const std::string expected = testing::HexHash(ComputeThreadSweepHash());
+  for (int threads : {1, 4, 16}) {
+    EXPECT_EQ(testing::RunWithThreads(threads,
+                                      "TopologyTreeThreadSweepTest."
+                                      "HashModePrintsWorkloadHash",
+                                      "TREEHASH"),
+              expected)
+        << threads << " threads";
   }
-  exe[len] = '\0';
-  auto hash_with_threads = [&](int threads) {
-    std::string command =
-        "FEDRA_TREE_SWEEP_CHILD=1 FEDRA_NUM_THREADS=" +
-        std::to_string(threads) + " '" + std::string(exe) +
-        "' --gtest_filter='TopologyTreeThreadSweepTest."
-        "HashModePrintsWorkloadHash' 2>/dev/null";
-    FILE* pipe = popen(command.c_str(), "r");
-    if (pipe == nullptr) {
-      return std::string("popen-failed");
-    }
-    std::string hash;
-    char line[256];
-    while (std::fgets(line, sizeof(line), pipe) != nullptr) {
-      if (std::strncmp(line, "TREEHASH ", 9) == 0) {
-        hash.assign(line + 9);
-        while (!hash.empty() && (hash.back() == '\n' || hash.back() == '\r')) {
-          hash.pop_back();
-        }
-      }
-    }
-    const int status = pclose(pipe);
-    if (status != 0 || hash.empty()) {
-      return std::string("child-failed");
-    }
-    return hash;
-  };
-  const std::string h1 = hash_with_threads(1);
-  const std::string h4 = hash_with_threads(4);
-  const std::string h16 = hash_with_threads(16);
-  ASSERT_NE(h1, "popen-failed");
-  ASSERT_NE(h1, "child-failed");
-  EXPECT_EQ(h1, h4);
-  EXPECT_EQ(h1, h16);
-  // And the in-process result (whatever FEDRA_NUM_THREADS this run uses)
-  // agrees with the sweep.
-  char expected[32];
-  std::snprintf(expected, sizeof(expected), "%016llx",
-                static_cast<unsigned long long>(ComputeThreadSweepHash()));
-  EXPECT_EQ(h1, expected);
 }
 
 // ----------------------------------------------------------- validation --

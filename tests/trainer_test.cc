@@ -4,7 +4,9 @@
 // (FDA communicates orders of magnitude less than Synchronous).
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -12,6 +14,7 @@
 #include "core/fda_policy.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
+#include "tests/test_util.h"
 
 namespace fedra {
 namespace {
@@ -220,25 +223,43 @@ TEST(TrainerTest, DeterministicAcrossRuns) {
   EXPECT_EQ(a.final_test_accuracy, b.final_test_accuracy);
 }
 
-TEST(TrainerTest, ParallelWorkersMatchSequential) {
+// Thread-count parity: worker steps always run on the global pool, so a
+// child pinned to FEDRA_NUM_THREADS=1 (the serial reference) and one at 4
+// must print the same result hash.
+uint64_t TrainerSweepHash() {
   SynthImageData data = SmallMnistLike();
   TrainerConfig config = BaseConfig(4);
   config.max_steps = 20;
-  auto run_with = [&](bool parallel) {
-    TrainerConfig c = config;
-    c.parallel_workers = parallel;
-    DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test, c);
-    auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
-                                 trainer.model_dim());
-    FEDRA_CHECK(policy.ok());
-    auto result = trainer.Run(policy->get());
-    FEDRA_CHECK(result.ok());
-    return *result;
-  };
-  TrainResult sequential = run_with(false);
-  TrainResult parallel = run_with(true);
-  EXPECT_EQ(sequential.total_syncs, parallel.total_syncs);
-  EXPECT_EQ(sequential.final_test_accuracy, parallel.final_test_accuracy);
+  DistributedTrainer trainer(SmallMlpFactory(), data.train, data.test,
+                             config);
+  auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.5),
+                               trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return testing::HashTrainResult(*result);
+}
+
+TEST(TrainerThreadSweepTest, HashModePrintsWorkloadHash) {
+  std::printf("TRAINERHASH %s\n",
+              testing::HexHash(TrainerSweepHash()).c_str());
+}
+
+TEST(TrainerThreadSweepTest, BitIdenticalAcrossThreadCounts) {
+  if (testing::SkipThreadSweep()) {
+    GTEST_SKIP() << "sweep child, or no /proc/self/exe to re-execute";
+  }
+  // Each child (and this process, at whatever pool size it runs) must
+  // produce the same hash; a failed child returns "child-failed".
+  const std::string expected = testing::HexHash(TrainerSweepHash());
+  for (int threads : {1, 4}) {
+    EXPECT_EQ(testing::RunWithThreads(threads,
+                                      "TrainerThreadSweepTest."
+                                      "HashModePrintsWorkloadHash",
+                                      "TRAINERHASH"),
+              expected)
+        << threads << " threads";
+  }
 }
 
 TEST(TrainerTest, ReachesAccuracyTargetAndStops) {

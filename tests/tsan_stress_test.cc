@@ -286,7 +286,7 @@ TEST(TsanStressTest, MultiProducerScheduleAndWaitChurn) {
 }
 
 TEST(TsanStressTest, TrainerCohortUnderFaultsIsRacelessAndDeterministic) {
-  // End-to-end surface: parallel workers execute one shared ModelGraph
+  // End-to-end surface: the round's workers execute one shared ModelGraph
   // against one WorkerArena (slab rows + exec slots), the FDA policy
   // AllReduces monitor state, and the fault injector cuts workers and drops
   // contributions mid-run. Two identical runs must also produce the same
@@ -301,7 +301,6 @@ TEST(TsanStressTest, TrainerCohortUnderFaultsIsRacelessAndDeterministic) {
 
   TrainerConfig config;
   config.num_workers = 8;
-  config.parallel_workers = true;
   config.batch_size = 8;
   config.local_optimizer = OptimizerConfig::Adam(0.002f);
   config.seed = 29;

@@ -2,6 +2,8 @@
 // scale, produces correct logits shapes, initializes deterministically, and
 // learns (loss decreases / gradient check passes) on small inputs.
 
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "nn/loss.h"
@@ -95,6 +97,61 @@ TEST_P(ZooModelTest, ParamGradientMatchesFiniteDifferences) {
 
 INSTANTIATE_TEST_SUITE_P(AllModels, ZooModelTest,
                          ::testing::Range<size_t>(0, 6));
+
+// ------------------------------------------------------ inference pass --
+
+class ZooInferTest : public ::testing::TestWithParam<size_t> {};
+
+// Infer skips the Backward caches but must compute exactly what an eval
+// Forward computes: the evaluation batch (256) and a ragged last batch,
+// on a slot leased from the graph as Evaluate leases it. BatchNorm models
+// normalize with the batch's own statistics, so both sizes matter.
+TEST_P(ZooInferTest, InferLogitsEqualEvalForwardBitwise) {
+  ZooCase test_case = AllZooCases()[GetParam()];
+  auto model = test_case.factory();
+  model->InitParams(5);
+  ModelGraph& graph = model->graph();
+  ModelGraph::ExecSlot slot = graph.AcquireSlot();
+  Rng rng(3);
+  for (int batch : {256, 37}) {
+    Tensor x({batch, test_case.channels, test_case.image_size,
+              test_case.image_size});
+    FillUniform(&x, &rng);
+    const Tensor expected = model->Forward(x, /*training=*/false);
+    const Tensor got = graph.Infer(x, model->view(), slot);
+    ASSERT_TRUE(got.SameShape(expected)) << test_case.name;
+    EXPECT_EQ(0, std::memcmp(got.data(), expected.data(),
+                             expected.numel() * sizeof(float)))
+        << test_case.name << " batch " << batch;
+  }
+}
+
+// LeNet-5, VggStar, DenseNet121Lite (BatchNorm), ConvNeXtLite (LayerNorm,
+// depthwise conv), MLP.
+INSTANTIATE_TEST_SUITE_P(EvalModels, ZooInferTest,
+                         ::testing::Values<size_t>(0, 1, 2, 4, 5));
+
+TEST(ModelDeathTest, BackwardAfterInferDies) {
+  auto model = zoo::Mlp(8, {16}, 3);
+  model->InitParams(1);
+  ModelGraph& graph = model->graph();
+  ModelGraph::ExecSlot slot = graph.AcquireSlot();
+  Tensor x({2, 8});
+  Rng rng(4);
+  FillUniform(&x, &rng);
+  Tensor grad({2, 3});
+  FillUniform(&grad, &rng);
+  // A Forward arms the slot for Backward; a later Infer disarms it, so the
+  // stale caches of the first pass can never be consumed.
+  graph.Forward(x, model->view(), slot, /*training=*/true, &rng);
+  graph.Infer(x, model->view(), slot);
+  EXPECT_DEATH(graph.Backward(grad, model->view(), slot),
+               "Infer keeps no activations");
+  // A fresh slot has seen no Forward at all.
+  ModelGraph::ExecSlot fresh = graph.AcquireSlot();
+  EXPECT_DEATH(graph.Backward(grad, model->view(), fresh),
+               "preceding Forward");
+}
 
 TEST(ZooScaleTest, ParameterOrderingMatchesPaper) {
   // The paper's ordering: LeNet-5 < VGG16* < DenseNet121 < DenseNet201
