@@ -1026,9 +1026,9 @@ int RunCompressionSweep(const std::string& path) {
     const double dense_state_us = SecondsPerCall([&] {
       sketch_monitor.ComputeLocalState(drift.data(), state.data());
     }) * 1e6;
-    // Masked monitoring splits into selection (MaskPreview, O(dim)
-    // nth_element — shared with the codec's own mask) and the sketch
-    // accumulation proper, which shrinks to O(kept x rows).
+    // Masked monitoring splits into selection (MaskPreview: a histogram
+    // threshold select plus one scan, O(dim) — shared with the codec's own
+    // mask) and the sketch accumulation proper, O(kept x rows).
     double mask_preview_us = 0.0;
     double sparse_state_us = dense_state_us;
     if (compressor.has_mask()) {
@@ -1054,20 +1054,22 @@ int RunCompressionSweep(const std::string& path) {
         buf, sizeof(buf),
         "%s  {\"codec\": \"%s\", \"dim\": %zu, \"raw_bytes\": %zu,\n"
         "   \"wire_bytes\": %zu, \"reduction_x\": %.2f,\n"
-        "   \"encode_us\": %.3f, \"dense_state_us\": %.3f,\n"
-        "   \"sparse_state_us\": %.3f, \"ef_energy_after_32\": %.6f}",
+        "   \"encode_us\": %.3f, \"mask_preview_us\": %.3f,\n"
+        "   \"dense_state_us\": %.3f, \"sparse_state_us\": %.3f,\n"
+        "   \"ef_energy_after_32\": %.6f}",
         first ? "" : ",\n", codec.config.ToString().c_str(), dim, raw_bytes,
         wire_bytes,
         static_cast<double>(raw_bytes) / static_cast<double>(wire_bytes),
-        encode_us, dense_state_us, sparse_state_us, ef_energy);
+        encode_us, mask_preview_us, dense_state_us, sparse_state_us,
+        ef_energy);
     json += buf;
     first = false;
     std::printf(
         "codec=%-10s wire=%zu reduction=%.2fx encode_us=%.1f "
-        "state_us dense=%.1f sparse=%.1f\n",
+        "mask_preview_us=%.1f state_us dense=%.1f sparse=%.1f\n",
         codec.label, wire_bytes,
         static_cast<double>(raw_bytes) / static_cast<double>(wire_bytes),
-        encode_us, dense_state_us, sparse_state_us);
+        encode_us, mask_preview_us, dense_state_us, sparse_state_us);
   }
   json += "\n]\n";
   FILE* f = std::fopen(path.c_str(), "w");

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <functional>
 
 #include "util/check.h"
 #include "util/string_util.h"
@@ -135,23 +137,40 @@ std::string CompressionConfig::ToString() const {
 
 namespace {
 
-/// Symmetric uniform quantization to `levels` positive steps; in-place.
-/// Coordinates a mask stage zeroed stay exactly zero, so quantize composes
-/// with sparsification without densifying the payload.
-void QuantizeInPlace(float* data, size_t n, int bits) {
+/// Symmetric uniform quantization to `levels` positive steps, in place,
+/// over the coordinates `index(0) .. index(count - 1)`. Coordinates outside
+/// that set are left alone, which is exact for the ones a mask stage zeroed:
+/// +0 adds nothing to the scale and rounds back to +0, so quantizing only
+/// the survivors gives the same payload as quantizing the whole vector.
+template <typename Index>
+void QuantizeInPlace(float* data, size_t count, int bits, Index index) {
   const float levels = static_cast<float>((1 << (bits - 1)) - 1);
   float max_abs = 0.0f;
-  for (size_t i = 0; i < n; ++i) {
-    max_abs = std::max(max_abs, std::fabs(data[i]));
+  for (size_t j = 0; j < count; ++j) {
+    max_abs = std::max(max_abs, std::fabs(data[index(j)]));
   }
   if (max_abs == 0.0f) {
     return;
   }
   const float scale = max_abs / levels;
-  for (size_t i = 0; i < n; ++i) {
-    data[i] = std::round(data[i] / scale) * scale;
+  for (size_t j = 0; j < count; ++j) {
+    float& x = data[index(j)];
+    x = std::round(x / scale) * scale;
   }
 }
+
+/// Magnitude order key: for non-NaN floats, comparing the sign-cleared bit
+/// patterns as uint32 orders exactly like std::fabs, and +0/-0 share key 0.
+uint32_t MagnitudeKey(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits & 0x7fffffffu;
+}
+
+// The selection histograms the top 11 of the key's 31 bits: the exponent
+// and three mantissa bits, so one bucket spans an eighth of an octave.
+constexpr int kBucketShift = 20;
+constexpr size_t kNumBuckets = size_t{1} << (31 - kBucketShift);
 
 size_t KeptOfRange(double fraction, size_t len) {
   return std::max<size_t>(
@@ -179,8 +198,7 @@ SyncCompressor::SyncCompressor(const CompressionConfig& config, size_t dim,
     original_.resize(dim);
   }
   if (mask_stage_ >= 0) {
-    scratch_indices_.resize(dim);
-    keep_.resize(dim);
+    keys_.resize(dim);
     kept_indices_.reserve(dim);
   }
 }
@@ -248,9 +266,8 @@ void SyncCompressor::EnsureScratch(size_t n) {
     original_.resize(n);
     grew = true;
   }
-  if (mask_stage_ >= 0 && keep_.size() < n) {
-    keep_.resize(n);
-    scratch_indices_.resize(n);
+  if (mask_stage_ >= 0 && keys_.size() < n) {
+    keys_.resize(n);
     kept_indices_.reserve(n);
     grew = true;
   }
@@ -260,38 +277,71 @@ void SyncCompressor::EnsureScratch(size_t n) {
 }
 
 void SyncCompressor::SelectRangeTopK(const float* data, size_t begin,
-                                     size_t len, size_t kept) {
-  if (kept >= len) {
-    std::fill(keep_.begin() + static_cast<long>(begin),
-              keep_.begin() + static_cast<long>(begin + len), uint8_t{1});
-    return;
-  }
+                                     size_t len, size_t kept, uint32_t* out) {
+  const float* x = data + begin;
+  // 1. Histogram the keys' top bits; walk down from the largest key's
+  //    bucket (not the top one: a short range then costs O(len), not
+  //    O(buckets)) to the bucket holding the kept-th largest key.
+  uint32_t hist[kNumBuckets] = {};
+  uint32_t max_key = 0;
   for (size_t i = 0; i < len; ++i) {
-    scratch_indices_[i] = i;
+    const uint32_t key = MagnitudeKey(x[i]);
+    ++hist[key >> kBucketShift];
+    max_key = std::max(max_key, key);
   }
-  // Magnitude descending with an ascending-index tie-break: without it,
-  // equal-magnitude coordinates land on either side of the cut in
-  // std::nth_element's implementation-defined order, and compressed runs
-  // stop being bit-reproducible across stdlibs.
-  std::nth_element(scratch_indices_.begin(),
-                   scratch_indices_.begin() + static_cast<long>(kept - 1),
-                   scratch_indices_.begin() + static_cast<long>(len),
-                   [data, begin](size_t a, size_t b) {
-                     const float fa = std::fabs(data[begin + a]);
-                     const float fb = std::fabs(data[begin + b]);
-                     if (fa != fb) {
-                       return fa > fb;
-                     }
-                     return a < b;
-                   });
-  for (size_t i = 0; i < kept; ++i) {
-    keep_[begin + scratch_indices_[i]] = 1;
+  size_t bucket = max_key >> kBucketShift;
+  size_t above = 0;  // keys in the buckets above `bucket`
+  while (above + hist[bucket] < kept) {
+    above += hist[bucket];
+    --bucket;
+  }
+  // 2. One ascending scan collects the candidates: every index whose key
+  //    lies in that bucket or above. Each index is stored at
+  //    out[candidates] and only candidates advance the count, so the scan
+  //    does not branch on the data, and no store goes past out[len - 1].
+  const uint32_t bucket_floor = static_cast<uint32_t>(bucket)
+                                << kBucketShift;
+  size_t candidates = 0;
+  for (size_t i = 0; i < len; ++i) {
+    out[candidates] = static_cast<uint32_t>(begin + i);
+    candidates += static_cast<size_t>(MagnitudeKey(x[i]) >= bucket_floor);
+  }
+  // 3. The threshold key T is the (kept - above)-th largest key of the
+  //    bucket: nth_element runs on the bucket's keys alone. `ties` is how
+  //    many of the kept keys equal T.
+  uint32_t* keys = keys_.data();
+  size_t in_bucket = 0;
+  for (size_t j = 0; j < candidates; ++j) {
+    const uint32_t key = MagnitudeKey(data[out[j]]);
+    keys[in_bucket] = key;
+    in_bucket += static_cast<size_t>((key >> kBucketShift) == bucket);
+  }
+  const size_t rank = kept - above - 1;
+  std::nth_element(keys, keys + rank, keys + in_bucket,
+                   std::greater<uint32_t>());
+  const uint32_t threshold = keys[rank];
+  size_t ties =
+      1 + static_cast<size_t>(std::count(keys, keys + rank, threshold));
+  // 4. Keep the candidates above T and the first `ties` equal to it:
+  //    magnitude descending with an ascending-index tie-break, compacted
+  //    in place and already sorted.
+  size_t count = 0;
+  for (size_t j = 0; j < candidates; ++j) {
+    const uint32_t index = out[j];
+    const uint32_t key = MagnitudeKey(data[index]);
+    const bool tie = key == threshold && ties > 0;
+    out[count] = index;
+    count += static_cast<size_t>(key > threshold || tie);
+    ties -= static_cast<size_t>(tie);
   }
 }
 
 size_t SyncCompressor::SelectMask(const CodecStageConfig& stage,
                                   const float* data, size_t n) {
-  std::fill(keep_.begin(), keep_.begin() + static_cast<long>(n), uint8_t{0});
+  // Capacity is reserved to dim: the resize never allocates.
+  kept_indices_.resize(n);
+  uint32_t* out = kept_indices_.data();
+  size_t count = 0;
   if (stage.kind == CodecStageKind::kLayerTopK &&
       layer_offsets_.size() >= 2 && n == dim_) {
     for (size_t b = 0; b + 1 < layer_offsets_.size(); ++b) {
@@ -300,19 +350,16 @@ size_t SyncCompressor::SelectMask(const CodecStageConfig& stage,
       if (len == 0) {
         continue;
       }
-      SelectRangeTopK(data, begin, len,
-                      std::min(len, KeptOfRange(stage.fraction, len)));
+      const size_t kept = std::min(len, KeptOfRange(stage.fraction, len));
+      SelectRangeTopK(data, begin, len, kept, out + count);
+      count += kept;
     }
   } else {
-    SelectRangeTopK(data, 0, n, std::min(n, KeptOfRange(stage.fraction, n)));
+    count = std::min(n, KeptOfRange(stage.fraction, n));
+    SelectRangeTopK(data, 0, n, count, out);
   }
-  kept_indices_.clear();
-  for (size_t i = 0; i < n; ++i) {
-    if (keep_[i] != 0) {
-      kept_indices_.push_back(static_cast<uint32_t>(i));
-    }
-  }
-  return kept_indices_.size();
+  kept_indices_.resize(count);
+  return count;
 }
 
 size_t SyncCompressor::MaskPreview(const float* data, size_t n) {
@@ -349,15 +396,22 @@ size_t SyncCompressor::CompressInPlace(int worker, float* data, size_t n) {
       case CodecStageKind::kTopK:
       case CodecStageKind::kLayerTopK: {
         SelectMask(stage, data, n);
-        for (size_t i = 0; i < n; ++i) {
-          if (keep_[i] == 0) {
-            data[i] = 0.0f;
-          }
+        size_t next = 0;  // zero the gaps between kept coordinates
+        for (uint32_t kept : kept_indices_) {
+          std::fill(data + next, data + kept, 0.0f);
+          next = kept + 1;
         }
+        std::fill(data + next, data + n, 0.0f);
         break;
       }
       case CodecStageKind::kQuantize:
-        QuantizeInPlace(data, n, stage.bits);
+        if (mask_stage_ >= 0) {
+          const uint32_t* kept = kept_indices_.data();
+          QuantizeInPlace(data, kept_indices_.size(), stage.bits,
+                          [kept](size_t j) { return kept[j]; });
+        } else {
+          QuantizeInPlace(data, n, stage.bits, [](size_t i) { return i; });
+        }
         break;
     }
   }

@@ -26,9 +26,16 @@
 // which gives the one-stage factories their classic sizes
 // (q8 = n + 4, q4 = ceil(n/2) + 4, top-k = kept * 8).
 //
-// Determinism: the mask stage breaks magnitude ties by ascending index, so
-// compressed runs are bit-reproducible across stdlib nth_element
-// implementations.
+// Selection and determinism: the mask stage keeps the coordinates that come
+// first in (|x| descending, index ascending) order, in O(n) per range. It
+// maps each float to the key bits(x) & 0x7fffffff, which orders like |x|;
+// histograms the keys' top 11 bits to find the bucket holding the k-th
+// largest key; takes the threshold key T from that bucket alone; and keeps
+// every key above T plus the lowest-index keys equal to T. T is a unique
+// value and the ties resolve in a fixed ascending scan, so the kept set
+// does not depend on any stdlib's nth_element ordering, and compressed runs
+// are bit-reproducible across stdlibs and thread counts. Non-finite drift
+// is outside the contract: a NaN's key ranks above +inf.
 
 #ifndef FEDRA_CORE_COMPRESSION_H_
 #define FEDRA_CORE_COMPRESSION_H_
@@ -156,13 +163,15 @@ class SyncCompressor {
   size_t scratch_reallocs() const { return scratch_reallocs_; }
 
  private:
-  /// Applies mask stage selection over data, filling keep_ / kept_indices_.
+  /// Applies mask stage selection over data, filling kept_indices_.
   /// Returns the kept count.
   size_t SelectMask(const CodecStageConfig& stage, const float* data,
                     size_t n);
-  /// Top-k selection over [begin, begin+len) of data, marking keep_.
+  /// Top-`kept` selection over [begin, begin+len) of data, 1 <= kept <= len:
+  /// writes the kept indices, ascending, to out[0, kept). `out` must have
+  /// len slots.
   void SelectRangeTopK(const float* data, size_t begin, size_t len,
-                       size_t kept);
+                       size_t kept, uint32_t* out);
   /// Kept-coordinate count of the mask stage for an n-float payload.
   size_t KeptCount(size_t n) const;
   void EnsureScratch(size_t n);
@@ -175,8 +184,7 @@ class SyncCompressor {
   std::vector<std::vector<float>> residuals_;  // per worker
   // Scratch, pre-sized to dim at construction so the per-sync hot path
   // performs no allocations (scratch_reallocs() audits this).
-  std::vector<size_t> scratch_indices_;
-  std::vector<uint8_t> keep_;
+  std::vector<uint32_t> keys_;  // magnitude keys of one selection bucket
   std::vector<float> original_;
   std::vector<uint32_t> kept_indices_;
   size_t scratch_reallocs_ = 0;

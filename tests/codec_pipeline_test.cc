@@ -1,12 +1,13 @@
 // WireCodec stage-pipeline tests: per-stage wire-size goldens, round-trip
-// composition, deterministic tie-breaking, allocation-free hot path,
-// error-feedback residual paging through ClientStateStore (fleet rotation),
-// payload-carrying subset billing, and the compressed-hierarchy composition
-// the pipeline unlocked.
+// composition, deterministic tie-breaking, the mask selection against a
+// full-sort reference, allocation-free hot path, error-feedback residual
+// paging through ClientStateStore (fleet rotation), payload-carrying subset
+// billing, and the compressed-hierarchy composition the pipeline unlocked.
 
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -198,6 +199,202 @@ TEST(CodecDeterminismTest, MagnitudeTiesBreakToLowestIndex) {
   ASSERT_EQ(codec.kept_indices().size(), 2u);
   EXPECT_EQ(codec.kept_indices()[0], 0u);
   EXPECT_EQ(codec.kept_indices()[1], 1u);
+}
+
+// ------------------------------------ selection vs a full-sort reference
+
+uint32_t FloatBits(float x) {
+  uint32_t bits;
+  std::memcpy(&bits, &x, sizeof(bits));
+  return bits;
+}
+
+float FromBits(uint32_t bits) {
+  float x;
+  std::memcpy(&x, &bits, sizeof(x));
+  return x;
+}
+
+struct InputFamily {
+  const char* name;
+  bool finite;
+  std::vector<float> values;
+};
+
+/// Inputs that stress the magnitude order: heavy ties, ±0, denormals,
+/// infinities, and values that differ only in low mantissa bits (so they
+/// all land in one bucket of any coarse magnitude histogram).
+std::vector<InputFamily> SelectionFamilies(size_t n) {
+  Rng rng(4242);
+  std::vector<InputFamily> families;
+  families.push_back({"gaussian", true, RandomVec(n, 77)});
+  families.push_back({"all-equal", true, std::vector<float>(n, 0.75f)});
+  std::vector<float> v(n);
+  for (auto& x : v) {
+    x = rng.NextBounded(10) == 0 ? rng.NextGaussian(0.0f, 1.0f) : 0.0f;
+  }
+  families.push_back({"mostly-zeros", true, v});
+  for (auto& x : v) {
+    const uint64_t pick = rng.NextBounded(10);
+    x = pick < 4 ? 0.0f : pick < 8 ? -0.0f : (pick == 8 ? 1.0f : -2.0f);
+  }
+  families.push_back({"signed-zeros", true, v});
+  for (auto& x : v) {
+    const uint32_t sign = static_cast<uint32_t>(rng.NextBounded(2)) << 31;
+    x = FromBits(sign | static_cast<uint32_t>(rng.NextBounded(1u << 23)));
+  }
+  families.push_back({"denormals", true, v});
+  v = RandomVec(n, 78);
+  for (size_t i = 0; i < n; i += 7) {
+    v[i] = (i % 2 == 0) ? INFINITY : -INFINITY;
+  }
+  families.push_back({"infinities", false, v});
+  for (auto& x : v) {
+    const uint32_t sign = static_cast<uint32_t>(rng.NextBounded(2)) << 31;
+    x = FromBits(sign | 0x3f800000u |
+                 static_cast<uint32_t>(rng.NextBounded(64)));
+  }
+  families.push_back({"low-mantissa", true, v});
+  for (auto& x : v) {
+    x = 0.25f * static_cast<float>(static_cast<int>(rng.NextBounded(7)) - 3);
+  }
+  families.push_back({"lattice", true, v});
+  return families;
+}
+
+/// The mask's contract spelled out: sort each range's indices by
+/// (|x| descending, index ascending), keep the first max(1, fraction*len)
+/// of them, and report the union ascending.
+std::vector<uint32_t> ReferenceKept(const std::vector<float>& v,
+                                    const std::vector<size_t>& range_starts,
+                                    double fraction) {
+  std::vector<uint32_t> kept;
+  for (size_t r = 0; r < range_starts.size(); ++r) {
+    const size_t begin = range_starts[r];
+    const size_t end =
+        r + 1 < range_starts.size() ? range_starts[r + 1] : v.size();
+    std::vector<uint32_t> order(end - begin);
+    std::iota(order.begin(), order.end(), static_cast<uint32_t>(begin));
+    std::sort(order.begin(), order.end(), [&v](uint32_t a, uint32_t b) {
+      const float fa = std::fabs(v[a]);
+      const float fb = std::fabs(v[b]);
+      return fa != fb ? fa > fb : a < b;
+    });
+    const size_t len = end - begin;
+    const size_t k = std::min(
+        len, std::max<size_t>(1, static_cast<size_t>(
+                                     fraction * static_cast<double>(len))));
+    kept.insert(kept.end(), order.begin(), order.begin() + k);
+  }
+  std::sort(kept.begin(), kept.end());
+  return kept;
+}
+
+/// Dense reference for mask-then-quantize: zero every dropped coordinate,
+/// then quantize the whole vector to the 8-bit grid of its largest value.
+std::vector<float> ReferencePayload(std::vector<float> v,
+                                    const std::vector<uint32_t>& kept) {
+  std::vector<bool> keep(v.size(), false);
+  for (uint32_t i : kept) {
+    keep[i] = true;
+  }
+  float max_abs = 0.0f;
+  for (size_t i = 0; i < v.size(); ++i) {
+    if (!keep[i]) {
+      v[i] = 0.0f;
+    }
+    max_abs = std::max(max_abs, std::fabs(v[i]));
+  }
+  if (max_abs == 0.0f) {
+    return v;
+  }
+  const float scale = max_abs / 127.0f;
+  for (float& x : v) {
+    x = std::round(x / scale) * scale;
+  }
+  return v;
+}
+
+TEST(CodecSelectionTest, MatchesFullSortReferenceOnEveryFamily) {
+  const size_t n = 1000;
+  // Layer blocks of length 1, 2, 1, 100, 496 and 400.
+  const std::vector<size_t> blocks = {0, 1, 3, 4, 104, 600};
+  // k = 1, 5%, half, len - 1 (for the whole vector) and k >= len.
+  const double fractions[] = {1e-9, 0.05, 0.5,
+                              (static_cast<double>(n) - 0.5) /
+                                  static_cast<double>(n),
+                              1.0};
+  for (const InputFamily& family : SelectionFamilies(n)) {
+    for (bool layered : {false, true}) {
+      for (double fraction : fractions) {
+        SCOPED_TRACE(::testing::Message()
+                     << family.name << (layered ? " layered" : " whole")
+                     << " fraction " << fraction);
+        const CodecStageConfig mask =
+            layered ? CodecStageConfig::LayerTopK(fraction)
+                    : CodecStageConfig::TopK(fraction);
+        const std::vector<uint32_t> expected = ReferenceKept(
+            family.values, layered ? blocks : std::vector<size_t>{0},
+            fraction);
+
+        // Mask alone: MaskPreview and CompressInPlace pick the same set,
+        // and the payload is the input with the dropped coordinates zeroed.
+        SyncCompressor masker(CompressionConfig::Stages({mask}, false), n, 1);
+        SyncCompressor coder(
+            CompressionConfig::Stages({mask, CodecStageConfig::Quantize(8)},
+                                      true),
+            n, 1);
+        if (layered) {
+          masker.SetLayerOffsets(blocks, n);
+          coder.SetLayerOffsets(blocks, n);
+        }
+        EXPECT_EQ(masker.MaskPreview(family.values.data(), n),
+                  expected.size());
+        EXPECT_EQ(masker.kept_indices(), expected);
+        std::vector<float> masked = family.values;
+        masker.CompressInPlace(0, masked.data(), n);
+        EXPECT_EQ(masker.kept_indices(), expected);
+        const std::vector<float> zeroed = [&] {
+          std::vector<float> out(n, 0.0f);
+          for (uint32_t i : expected) {
+            out[i] = family.values[i];
+          }
+          return out;
+        }();
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(FloatBits(masked[i]), FloatBits(zeroed[i])) << i;
+        }
+
+        // Mask + q8 with error feedback: the payload and the residual are
+        // bitwise those of the dense zero-then-quantize reference. The
+        // zero residual is added first, which turns -0 inputs into +0.
+        std::vector<float> input = family.values;
+        for (float& x : input) {
+          x += 0.0f;
+        }
+        std::vector<float> payload = family.values;
+        coder.CompressInPlace(0, payload.data(), n);
+        EXPECT_EQ(coder.kept_indices(), expected);
+        EXPECT_EQ(coder.MaskPreview(family.values.data(), n),
+                  expected.size());
+        EXPECT_EQ(coder.kept_indices(), expected);
+        if (!family.finite) {
+          // An infinite scale turns the dense reference's dropped zeros
+          // into 0 * inf = NaN: non-finite drift is outside the codec's
+          // contract, so only the selection is checked.
+          continue;
+        }
+        const std::vector<float> reference = ReferencePayload(input, expected);
+        const float* residual = coder.ResidualData(0);
+        for (size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(FloatBits(payload[i]), FloatBits(reference[i])) << i;
+          ASSERT_EQ(FloatBits(residual[i]),
+                    FloatBits(input[i] - reference[i]))
+              << i;
+        }
+      }
+    }
+  }
 }
 
 // -------------------------------------------------- allocation-free path

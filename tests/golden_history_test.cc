@@ -392,6 +392,102 @@ TEST(GoldenHistoryTest, FleetFaultedPopulationEqualsCohortBitIdentical) {
 }
 
 // ---------------------------------------------------------------------------
+// Compressed training: with a mask stage the codec picks the coordinates
+// the monitor sees (MaskPreview, every step) and the ones each sync ships
+// (CompressInPlace), so any change to the top-k selection or to the
+// masked quantize shows up in the history, the sync count and the bytes
+// to the accuracy target. The values were captured with
+// FEDRA_GOLDEN_PRINT=1 at commit 3f2a135, from the indirect nth_element
+// selection, before the histogram-threshold selection replaced it.
+
+struct CompressedGolden {
+  uint64_t result_hash;
+  uint64_t total_syncs;
+  uint64_t bytes_to_target;
+};
+
+const CompressedGolden kFleetTopKQ8LinearFda = {0x5e8d0e783755e186ull, 51ull,
+                                                 3280008ull};
+const CompressedGolden kLayerTopKQ8SketchFda = {0xa4fe7d88eff58ddcull, 7ull,
+                                                 1646332ull};
+
+void ExpectCompressedMatches(const char* name, const TrainResult& result,
+                             const CompressedGolden& golden) {
+  const uint64_t hash = testing::HashTrainResult(result);
+  if (GoldenPrintMode()) {
+    std::printf("const CompressedGolden k%s = {0x%sull, %lluull, %lluull};\n",
+                name, testing::HexHash(hash).c_str(),
+                static_cast<unsigned long long>(result.total_syncs),
+                static_cast<unsigned long long>(result.bytes_to_target));
+    return;
+  }
+  ASSERT_TRUE(result.reached_target) << name;
+  EXPECT_EQ(testing::HexHash(hash), testing::HexHash(golden.result_hash))
+      << name;
+  EXPECT_EQ(result.total_syncs, golden.total_syncs) << name;
+  EXPECT_EQ(result.bytes_to_target, golden.bytes_to_target) << name;
+}
+
+/// A churned 2000-client fleet rotating 8 slots under top-5% + q8 with
+/// error feedback paged through the client store: LinearFDA monitors the
+/// masked drift.
+TrainResult RunCompressedFleetLinearFda(const SynthImageData& data) {
+  auto factory = [] { return zoo::Mlp(16 * 16, {16}, 10); };
+  TrainerConfig config = MlpConfig(8);
+  config.local_optimizer = OptimizerConfig::Sgd(0.05f);
+  config.batch_size = 8;
+  config.population = 2000;
+  config.cohort_size = 8;
+  config.cohort_steps = 10;
+  config.cohort_schedule = CohortScheduleKind::kAvailability;
+  config.faults = FaultConfig::Churn(10.0, 2.5);
+  config.sync_compression = CompressionConfig::Stages(
+      {CodecStageConfig::TopK(0.05), CodecStageConfig::Quantize(8)});
+  config.max_steps = 200;
+  config.eval_every_steps = 20;
+  config.accuracy_target = 0.6;
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto policy = MakeSyncPolicy(AlgorithmConfig::LinearFda(0.05),
+                               trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+/// Four resident workers under layer-wise top-5% + q8 (every ModelGraph
+/// block keeps its own 5%, including the 10-float output bias): SketchFDA
+/// accumulates the masked drift into the AMS sketch.
+TrainResult RunLayerTopKSketchFda(const SynthImageData& data) {
+  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+  TrainerConfig config = MlpConfig(4);
+  config.sync_compression = CompressionConfig::Stages(
+      {CodecStageConfig::LayerTopK(0.05), CodecStageConfig::Quantize(8)});
+  config.max_steps = 200;
+  config.accuracy_target = 0.8;
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  auto policy = MakeSyncPolicy(AlgorithmConfig::SketchFda(0.05),
+                               trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+TEST(GoldenHistoryTest, CompressedFleetMatchesGolden) {
+  const SynthImageData data = SmallMnistLike();
+  const TrainResult fleet = RunCompressedFleetLinearFda(data);
+  EXPECT_GT(fleet.comm.check_in_syncs, 0ull);
+  EXPECT_GT(fleet.total_syncs, 0ull);
+  ExpectCompressedMatches("FleetTopKQ8LinearFda", fleet,
+                          kFleetTopKQ8LinearFda);
+  const TrainResult layered = RunLayerTopKSketchFda(data);
+  EXPECT_GT(layered.total_syncs, 0ull);
+  ExpectCompressedMatches("LayerTopKQ8SketchFda", layered,
+                          kLayerTopKQ8SketchFda);
+}
+
+// ---------------------------------------------------------------------------
 // Thread-count parity: the parallel workloads above (4- and 8-worker MLPs,
 // the BatchNorm DenseNet) must produce bit-identical results for any pool
 // size. The global pool is sized once per process, so the sweep re-runs
