@@ -17,6 +17,7 @@
 // whose last bits may legitimately differ across FMA-contraction choices of
 // other toolchains).
 
+#include <bit>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -353,6 +354,174 @@ TEST(GoldenHistoryTest, FleetAsyncPopulationEqualsCohortMatchesGolden) {
   auto result = trainer.Run();
   ASSERT_TRUE(result.ok()) << result.status();
   ExpectHistoryMatches("MlpAsyncFleet", result->base.history, kMlpAsync);
+}
+
+// ---------------------------------------------------------------------------
+// Asynchronous FDA off the happy path: event-level churn and message loss,
+// fleet rotation at sync boundaries, and a two-tier topology under heavy
+// stragglers. Each run pins its history plus the fault and clock outcome;
+// the event schedule's random-draw order (crash, then the upload's
+// delivery, then one sync-delivery draw per live worker) and its queue
+// rebuild after every attempted sync all show up in these numbers. The
+// values were captured with FEDRA_GOLDEN_PRINT=1 at commit 05e653a, from
+// the standalone event-driven async trainer.
+
+struct AsyncGolden {
+  uint64_t total_syncs;
+  uint64_t bytes_total;
+  uint64_t retries;
+  uint64_t dropped_messages;
+  uint64_t rejoin_count;
+  uint64_t skipped_syncs;
+  uint64_t final_test_accuracy_bits;
+  double final_sim_seconds;
+};
+
+const GoldenPoint kAsyncChurnLoss[] = {
+    {10, 0.390625, 0.4921875, 590848ull, 5ull, 0.12009834857142855},
+    {20, 0.5234375, 0.6328125, 976304ull, 8ull, 0.25013768800000002},
+    {30, 0.734375, 0.7890625, 1336064ull, 11ull, 0.38019669714285736},
+    {40, 0.7890625, 0.8515625, 1875512ull, 14ull, 0.51027537600000039},
+    {50, 0.875, 0.875, 2543392ull, 19ull, 0.64037372457142894},
+};
+const AsyncGolden kAsyncChurnLossOutcome = {
+    19ull, 2543392ull, 172ull, 108ull,
+    10ull, 1ull, 0x3fec600000000000ull, 0.64037372457142894};
+
+const GoldenPoint kAsyncFleetChurn[] = {
+    {10, 0.3359375, 0.484375, 257016ull, 1ull, 0.1200196697142857},
+    {20, 0.46875, 0.5703125, 565376ull, 2ull, 0.23003933942857149},
+    {30, 0.625, 0.703125, 565696ull, 2ull, 0.33003933942857155},
+    {40, 0.7421875, 0.8125, 566016ull, 2ull, 0.43003933942857164},
+    {50, 0.7109375, 0.6953125, 617656ull, 2ull, 0.55003933942857175},
+};
+const AsyncGolden kAsyncFleetChurnOutcome = {
+    2ull, 617656ull, 0ull, 0ull,
+    8ull, 0ull, 0x3fe5e00000000000ull, 0.55003933942857175};
+
+const GoldenPoint kAsyncEdgeCloudStragglers[] = {
+    {10, 0.3671875, 0.515625, 308704ull, 2ull, 0.19598970343526409},
+    {20, 0.5546875, 0.6328125, 617408ull, 4ull, 0.38694852389501644},
+    {30, 0.703125, 0.75, 772080ull, 5ull, 0.54452918009906781},
+    {40, 0.8046875, 0.875, 1080784ull, 7ull, 0.72304333845026025},
+    {50, 0.875, 0.8828125, 1235456ull, 8ull, 0.88993238084654047},
+};
+const AsyncGolden kAsyncEdgeCloudStragglersOutcome = {
+    8ull, 1235456ull, 0ull, 0ull,
+    0ull, 0ull, 0x3fecc00000000000ull, 0.88993238084654047};
+
+template <size_t N>
+void ExpectAsyncMatches(const char* name, const TrainResult& result,
+                        const GoldenPoint (&history)[N],
+                        const AsyncGolden& golden) {
+  ExpectHistoryMatches(name, result.history, history);
+  // The run ends where its clock stops: at the target, or at the budget
+  // (sim_seconds_to_target equals the totals when the target was missed).
+  const double clock = result.sim_seconds_to_target;
+  const uint64_t accuracy_bits =
+      std::bit_cast<uint64_t>(result.final_test_accuracy);
+  if (GoldenPrintMode()) {
+    std::printf(
+        "const AsyncGolden k%sOutcome = {%lluull, %lluull, %lluull, "
+        "%lluull, %lluull, %lluull, 0x%llxull, %.17g};\n",
+        name, static_cast<unsigned long long>(result.total_syncs),
+        static_cast<unsigned long long>(result.comm.bytes_total),
+        static_cast<unsigned long long>(result.comm.retries),
+        static_cast<unsigned long long>(result.comm.dropped_messages),
+        static_cast<unsigned long long>(result.rejoin_count),
+        static_cast<unsigned long long>(result.skipped_syncs),
+        static_cast<unsigned long long>(accuracy_bits), clock);
+    return;
+  }
+  EXPECT_EQ(result.total_syncs, golden.total_syncs) << name;
+  EXPECT_EQ(result.comm.bytes_total, golden.bytes_total) << name;
+  EXPECT_EQ(result.comm.retries, golden.retries) << name;
+  EXPECT_EQ(result.comm.dropped_messages, golden.dropped_messages) << name;
+  EXPECT_EQ(result.rejoin_count, golden.rejoin_count) << name;
+  EXPECT_EQ(result.skipped_syncs, golden.skipped_syncs) << name;
+  EXPECT_EQ(accuracy_bits, golden.final_test_accuracy_bits) << name;
+  EXPECT_NEAR(clock, golden.final_sim_seconds,
+              1e-9 * std::max(1.0, golden.final_sim_seconds))
+      << name;
+}
+
+/// 50 in-parallel steps (200 worker steps) of async LinearFDA over four
+/// MLP workers.
+TrainerConfig AsyncConfig() {
+  TrainerConfig config = MlpConfig(4);
+  config.eval_every_steps = 10;
+  config.straggler = StragglerModel::None(0.01);
+  return config;
+}
+
+TrainResult RunAsyncLinearFda(const SynthImageData& data,
+                              const TrainerConfig& config, double theta) {
+  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+  AsyncFdaConfig async_config;
+  async_config.theta = theta;
+  async_config.monitor.kind = MonitorKind::kLinear;
+  async_config.max_total_worker_steps =
+      50 * static_cast<size_t>(config.num_workers);
+  AsyncFdaTrainer trainer(factory, data.train, data.test, config,
+                          async_config);
+  auto result = trainer.Run();
+  FEDRA_CHECK(result.ok());
+  return std::move(result)->base;
+}
+
+/// Resident workers under churn and heavy message loss with one retry:
+/// crashes, repairs, dropped uploads, and syncs that lose every
+/// contribution.
+TrainResult RunAsyncChurnLoss(const SynthImageData& data) {
+  TrainerConfig config = AsyncConfig();
+  config.faults = FaultConfig::Churn(20.0, 3.0);
+  config.faults.message_loss_prob = 0.6;
+  config.faults.max_retries = 1;
+  return RunAsyncLinearFda(data, config, 0.02);
+}
+
+/// A 16-client fleet rotating four slots at every successful sync, under
+/// churn.
+TrainResult RunAsyncFleetChurn(const SynthImageData& data) {
+  TrainerConfig config = AsyncConfig();
+  config.population = 16;
+  config.cohort_size = 4;
+  config.faults = FaultConfig::Churn(20.0, 3.0);
+  return RunAsyncLinearFda(data, config, 0.1);
+}
+
+/// Two edge clusters under the cloud, half the workers 8x slower: uploads
+/// bill the tree path, sync stalls follow the grouped collective.
+TrainResult RunAsyncEdgeCloudStragglers(const SynthImageData& data) {
+  TrainerConfig config = AsyncConfig();
+  config.topology = TopologyTree::EdgeCloud(2);
+  config.straggler = StragglerModel::Heavy(0.01);
+  config.straggler.slow_worker_prob = 0.5;
+  return RunAsyncLinearFda(data, config, 0.1);
+}
+
+TEST(GoldenHistoryTest, AsyncChurnLossMatchesGolden) {
+  const TrainResult result = RunAsyncChurnLoss(SmallMnistLike());
+  EXPECT_GT(result.rejoin_count, 0ull);
+  EXPECT_GT(result.skipped_syncs, 0ull);
+  ExpectAsyncMatches("AsyncChurnLoss", result, kAsyncChurnLoss,
+                     kAsyncChurnLossOutcome);
+}
+
+TEST(GoldenHistoryTest, AsyncFleetChurnMatchesGolden) {
+  const TrainResult result = RunAsyncFleetChurn(SmallMnistLike());
+  EXPECT_GT(result.comm.check_in_syncs, 0ull);
+  EXPECT_GT(result.rejoin_count, 0ull);
+  ExpectAsyncMatches("AsyncFleetChurn", result, kAsyncFleetChurn,
+                     kAsyncFleetChurnOutcome);
+}
+
+TEST(GoldenHistoryTest, AsyncEdgeCloudStragglersMatchesGolden) {
+  const TrainResult result = RunAsyncEdgeCloudStragglers(SmallMnistLike());
+  EXPECT_GT(result.total_syncs, 0ull);
+  ExpectAsyncMatches("AsyncEdgeCloudStragglers", result,
+                     kAsyncEdgeCloudStragglers,
+                     kAsyncEdgeCloudStragglersOutcome);
 }
 
 /// Fault chains must also agree at population == K: the fleet constructs a
