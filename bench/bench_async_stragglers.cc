@@ -13,7 +13,6 @@
 
 #include "bench/harness.h"
 #include "bench/presets.h"
-#include "core/async_fda.h"
 #include "nn/zoo.h"
 #include "util/string_util.h"
 
@@ -72,20 +71,20 @@ int Main() {
   };
 
   auto run_async = [&](StragglerModel straggler) {
-    AsyncFdaConfig async;
-    async.theta = theta;
+    DistributedTrainer trainer(factory, data->train, data->test,
+                               base_config(straggler));
+    AlgorithmConfig async = AlgorithmConfig::AsyncFda(theta);
     async.monitor.kind = MonitorKind::kLinear;
-    async.max_total_worker_steps = steps * static_cast<size_t>(workers);
-    AsyncFdaTrainer trainer(factory, data->train, data->test,
-                            base_config(straggler), async);
-    auto result = trainer.Run();
+    auto policy = MakeSyncPolicy(async, trainer.model_dim());
+    FEDRA_CHECK_OK(policy.status());
+    auto result = trainer.Run(policy->get());
     FEDRA_CHECK_OK(result.status());
     Outcome outcome;
-    outcome.seconds_per_step =
-        result->sim_wall_seconds /
-        (static_cast<double>(result->total_worker_steps) / workers);
-    outcome.accuracy = result->base.final_test_accuracy;
-    outcome.syncs = result->sync_count;
+    // The event-ordered clock stops at the budget: sim_seconds_to_target.
+    outcome.seconds_per_step = result->sim_seconds_to_target /
+                               static_cast<double>(result->total_steps);
+    outcome.accuracy = result->final_test_accuracy;
+    outcome.syncs = result->total_syncs;
     return outcome;
   };
 

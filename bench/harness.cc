@@ -21,6 +21,7 @@ std::string AlgoConfigString(const AlgorithmConfig& config) {
     case Algorithm::kSketchFda:
     case Algorithm::kLinearFda:
     case Algorithm::kExactFda:
+    case Algorithm::kAsyncFda:
       return StrFormat("theta=%g", config.theta);
     case Algorithm::kLocalSgd:
       return config.tau.ToString();

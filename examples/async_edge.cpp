@@ -7,7 +7,6 @@
 #include <cstdio>
 
 #include "core/algorithms.h"
-#include "core/async_fda.h"
 #include "core/trainer.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
@@ -48,15 +47,13 @@ int main() {
   auto bsp = bsp_trainer.Run(policy->get());
   FEDRA_CHECK_OK(bsp.status());
 
-  // Asynchronous FDA: same Theta, same fleet.
-  AsyncFdaConfig async;
-  async.theta = 0.4;
+  // Asynchronous FDA: same Theta, same fleet, same step budget.
+  DistributedTrainer async_trainer(factory, data->train, data->test, config);
+  AlgorithmConfig async = AlgorithmConfig::AsyncFda(0.4);
   async.monitor.kind = MonitorKind::kLinear;
-  async.max_total_worker_steps =
-      config.max_steps * static_cast<size_t>(config.num_workers);
-  AsyncFdaTrainer async_trainer(factory, data->train, data->test, config,
-                                async);
-  auto result = async_trainer.Run();
+  auto async_policy = MakeSyncPolicy(async, async_trainer.model_dim());
+  FEDRA_CHECK_OK(async_policy.status());
+  auto result = async_trainer.Run(async_policy->get());
   FEDRA_CHECK_OK(result.status());
 
   const double bsp_wall = bsp->compute_seconds + bsp->comm.comm_seconds;
@@ -66,15 +63,17 @@ int main() {
               1e3 * bsp_wall / static_cast<double>(bsp->total_steps),
               100.0 * bsp->final_test_accuracy,
               static_cast<unsigned long long>(bsp->total_syncs));
+  // The event-ordered clock stops at the budget: sim_seconds_to_target.
+  const size_t worker_steps =
+      result->total_steps * static_cast<size_t>(config.num_workers);
+  const double async_wall = result->sim_seconds_to_target;
   const double async_per_step =
-      result->sim_wall_seconds /
-      (static_cast<double>(result->total_worker_steps) /
-       config.num_workers);
+      async_wall / static_cast<double>(result->total_steps);
   std::printf("Async FDA : %zu worker-steps in %.1f simulated s "
-              "(%.1f ms/in-parallel step), accuracy %.1f%%, %zu syncs\n",
-              result->total_worker_steps, result->sim_wall_seconds,
-              1e3 * async_per_step,
-              100.0 * result->base.final_test_accuracy, result->sync_count);
+              "(%.1f ms/in-parallel step), accuracy %.1f%%, %llu syncs\n",
+              worker_steps, async_wall, 1e3 * async_per_step,
+              100.0 * result->final_test_accuracy,
+              static_cast<unsigned long long>(result->total_syncs));
   std::printf("\nspeedup from dropping the per-step barrier: %.1fx\n",
               (1e3 * bsp_wall / static_cast<double>(bsp->total_steps)) /
                   (1e3 * async_per_step));

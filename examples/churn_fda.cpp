@@ -12,6 +12,8 @@
 //   ./build/churn_fda
 
 #include <cstdio>
+#include <string>
+#include <vector>
 
 #include "core/algorithms.h"
 #include "core/fedopt_policy.h"
@@ -23,6 +25,31 @@
 using namespace fedra;
 
 namespace {
+
+/// The fault-oblivious strawman: runs its inner policy as if the fleet were
+/// healthy. With the participation mask and the fault layer hidden, FedAvg
+/// averages every worker's delta — stale params from crashed workers
+/// included — and never runs the loss/retry gauntlet.
+class FaultObliviousPolicy : public SyncPolicy {
+ public:
+  explicit FaultObliviousPolicy(SyncPolicy* inner) : inner_(inner) {}
+
+  void Initialize(ClusterContext& ctx) override { inner_->Initialize(ctx); }
+  bool MaybeSync(ClusterContext& ctx) override {
+    const std::vector<char>* participation = ctx.participation;
+    FaultInjector* faults = ctx.faults;
+    ctx.participation = nullptr;
+    ctx.faults = nullptr;
+    const bool synced = inner_->MaybeSync(ctx);
+    ctx.participation = participation;
+    ctx.faults = faults;
+    return synced;
+  }
+  std::string name() const override { return inner_->name(); }
+
+ private:
+  SyncPolicy* inner_;
+};
 
 TrainResult RunOne(const char* tag, ModelFactory factory,
                    const SynthImageData& data, const TrainerConfig& config,
@@ -99,9 +126,8 @@ int main() {
 
   // 3. The strawman: FedAvg that ignores the participation mask and
   //    averages every worker's (stale) delta as if the fleet were healthy.
-  FedOptConfig oblivious = FedOptConfig::FedAvg(/*local_epochs=*/1);
-  oblivious.fault_oblivious = true;
-  FedOptPolicy fedavg_oblivious(oblivious);
+  FedOptPolicy fedavg(FedOptConfig::FedAvg(/*local_epochs=*/1));
+  FaultObliviousPolicy fedavg_oblivious(&fedavg);
   const TrainResult strawman = RunOne("FedAvg fault-oblivious", factory,
                                       *data, config, &fedavg_oblivious);
 

@@ -17,6 +17,8 @@ const char* AlgorithmName(Algorithm algorithm) {
       return "LinearFDA";
     case Algorithm::kExactFda:
       return "ExactFDA";
+    case Algorithm::kAsyncFda:
+      return "AsyncFDA";
     case Algorithm::kFedAvg:
       return "FedAvg";
     case Algorithm::kFedAvgM:
@@ -64,6 +66,13 @@ AlgorithmConfig AlgorithmConfig::ExactFda(double theta) {
   return config;
 }
 
+AlgorithmConfig AlgorithmConfig::AsyncFda(double theta) {
+  AlgorithmConfig config;
+  config.algorithm = Algorithm::kAsyncFda;
+  config.theta = theta;
+  return config;
+}
+
 AlgorithmConfig AlgorithmConfig::FedAvg(int local_epochs) {
   AlgorithmConfig config;
   config.algorithm = Algorithm::kFedAvg;
@@ -90,6 +99,7 @@ Status AlgorithmConfig::Validate() const {
     case Algorithm::kSketchFda:
     case Algorithm::kLinearFda:
     case Algorithm::kExactFda:
+    case Algorithm::kAsyncFda:
       if (theta < 0.0) {
         return Status::InvalidArgument("theta must be >= 0");
       }
@@ -121,6 +131,7 @@ std::string AlgorithmConfig::ToString() const {
     case Algorithm::kSketchFda:
     case Algorithm::kLinearFda:
     case Algorithm::kExactFda:
+    case Algorithm::kAsyncFda:
       return StrFormat("%s(theta=%g)", AlgorithmName(algorithm), theta);
     case Algorithm::kFedAvg:
     case Algorithm::kFedAvgM:
@@ -149,6 +160,14 @@ StatusOr<std::unique_ptr<SyncPolicy>> MakeSyncPolicy(
         return monitor.status();
       }
       return std::unique_ptr<SyncPolicy>(std::make_unique<FdaSyncPolicy>(
+          std::move(monitor).value(), config.theta));
+    }
+    case Algorithm::kAsyncFda: {
+      auto monitor = MakeVarianceMonitor(config.monitor, dim);
+      if (!monitor.ok()) {
+        return monitor.status();
+      }
+      return std::unique_ptr<SyncPolicy>(std::make_unique<AsyncFdaPolicy>(
           std::move(monitor).value(), config.theta));
     }
     case Algorithm::kFedAvg:

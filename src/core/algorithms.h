@@ -22,6 +22,7 @@ enum class Algorithm {
   kSketchFda,    // paper §3.1
   kLinearFda,    // paper §3.2
   kExactFda,     // oracle monitor (ablation)
+  kAsyncFda,     // paper §3.3: event-ordered schedule, coordinator decides
   kFedAvg,       // FedOpt family
   kFedAvgM,
   kFedAdam,
@@ -41,6 +42,8 @@ struct AlgorithmConfig {
   static AlgorithmConfig SketchFda(double theta);
   static AlgorithmConfig LinearFda(double theta);
   static AlgorithmConfig ExactFda(double theta);
+  /// Asynchronous FDA over `monitor` (SketchFDA's estimator by default).
+  static AlgorithmConfig AsyncFda(double theta);
   static AlgorithmConfig FedAvg(int local_epochs = 1);
   static AlgorithmConfig FedAvgM(int local_epochs = 1);
   static AlgorithmConfig FedAdam(int local_epochs = 1);

@@ -21,26 +21,28 @@ int ActiveInSpan(const std::vector<char>* mask, int begin, int end) {
   return count;
 }
 
-// (Alg. 1 line 6) one worker's drift + local state. With a masking sync
-// compressor the monitor sees the drift that would actually ship: the mask
-// preview selects the kept coordinates (no mutation, no error-feedback side
-// effects) and the state folds only those in — the AMS sketch accumulates
-// the *compressed* drift, O(kept * rows) instead of O(dim * rows). Without
-// a mask the fused dense kernel runs unchanged.
+// (Alg. 1 line 6) one worker's drift (into worker.drift) and local state
+// (into `state`). With a masking sync compressor the monitor sees the drift
+// that would actually ship: the mask preview selects the kept coordinates
+// (no mutation, no error-feedback side effects) and the state folds only
+// those in — the AMS sketch accumulates the *compressed* drift,
+// O(kept * rows) instead of O(dim * rows). Without a mask the fused dense
+// kernel runs unchanged.
 void ComputeWorkerState(ClusterContext& ctx, VarianceMonitor* monitor,
-                        WorkerState& worker) {
+                        WorkerState& worker, float* state) {
   if (ctx.compressor != nullptr && ctx.compressor->has_mask()) {
     vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
              ctx.dim);
     const size_t kept = ctx.compressor->MaskPreview(worker.drift, ctx.dim);
     monitor->ComputeLocalStateSparse(worker.drift,
                                      ctx.compressor->kept_indices().data(),
-                                     kept, worker.state);
+                                     kept, state);
     return;
   }
   monitor->ComputeDriftAndState(worker.view.params, ctx.sync_params->data(),
-                                worker.drift, worker.state);
+                                worker.drift, state);
 }
+
 
 }  // namespace
 
@@ -73,7 +75,7 @@ bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
     // (Alg. 1 line 6) every worker updates its local state from its drift;
     // with a masking codec the state covers the compressed drift only.
     for (auto& worker : *ctx.workers) {
-      ComputeWorkerState(ctx, monitor_.get(), worker);
+      ComputeWorkerState(ctx, monitor_.get(), worker, worker.state);
     }
     // (line 7) AllReduce the small states.
     ctx.network->AllReduceAverage(states, monitor_->StateSize(),
@@ -92,7 +94,7 @@ bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
     active_states.reserve(active.size());
     for (int k : active) {
       WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
-      ComputeWorkerState(ctx, monitor_.get(), worker);
+      ComputeWorkerState(ctx, monitor_.get(), worker, worker.state);
       active_states.push_back(states[static_cast<size_t>(k)]);
     }
     ctx.network->AllReduceAverageSubset(active_states, active,
@@ -131,6 +133,104 @@ bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
 }
 
 std::string FdaSyncPolicy::name() const { return monitor_->name(); }
+
+// ------------------------------------------------------- asynchronous FDA --
+
+AsyncFdaPolicy::AsyncFdaPolicy(std::unique_ptr<VarianceMonitor> monitor,
+                               double theta)
+    : monitor_(std::move(monitor)), theta_(theta) {
+  FEDRA_CHECK(monitor_ != nullptr);
+  FEDRA_CHECK_GE(theta, 0.0);
+}
+
+void AsyncFdaPolicy::Initialize(ClusterContext& ctx) {
+  // The arena's state rows hold the coordinator's view; they start zeroed.
+  ctx.AllocateWorkerStates(monitor_->StateSize());
+  ctx.monitor = monitor_.get();
+  fresh_state_.assign(monitor_->StateSize(), 0.0f);
+  mean_state_.assign(monitor_->StateSize(), 0.0f);
+}
+
+bool AsyncFdaPolicy::MaybeSync(ClusterContext& ctx) {
+  FEDRA_CHECK_EQ(monitor_->dim(), ctx.dim);
+  const int stepped = ctx.stepped_worker;
+  FEDRA_CHECK_GE(stepped, 0) << "AsyncFdaPolicy needs the event-ordered "
+                                "schedule";
+  WorkerState& worker = (*ctx.workers)[static_cast<size_t>(stepped)];
+  const size_t state_size = monitor_->StateSize();
+  ComputeWorkerState(ctx, monitor_.get(), worker, fresh_state_.data());
+  // Point-to-point upload. Under message loss it runs the retry gauntlet;
+  // a dropped upload leaves the coordinator's view of this worker stale
+  // and decides nothing.
+  if (ctx.faults != nullptr) {
+    const FaultInjector::Delivery outcome = ctx.faults->SampleDelivery();
+    if (outcome.retries > 0) {
+      ctx.network->AccountSyncRetries(
+          stepped, state_size, outcome.retries,
+          ctx.faults->config().retry_backoff_seconds,
+          TrafficClass::kLocalState);
+    }
+    if (!outcome.delivered) {
+      ctx.network->AccountDroppedMessage();
+      return false;
+    }
+  }
+  vec::Copy(fresh_state_.data(), worker.state, state_size);
+  ctx.network->PointToPoint(state_size, TrafficClass::kLocalState, stepped);
+
+  // The coordinator decides on the freshest state of every live worker;
+  // crashed workers' last states stay out of the mean.
+  const std::vector<char>* live_mask = ctx.participation;
+  auto is_live = [&](size_t k) {
+    return live_mask == nullptr || (*live_mask)[k] != 0;
+  };
+  int live = 0;
+  for (size_t k = 0; k < ctx.workers->size(); ++k) {
+    live += is_live(k) ? 1 : 0;
+  }
+  vec::Fill(mean_state_.data(), state_size, 0.0f);
+  const float inv_live = 1.0f / static_cast<float>(live);
+  for (size_t k = 0; k < ctx.workers->size(); ++k) {
+    if (is_live(k)) {
+      vec::Axpy(inv_live, (*ctx.workers)[k].state, mean_state_.data(),
+                state_size);
+    }
+  }
+  // A fleet run folds the off-cohort population's stored states in (a
+  // bitwise no-op when population == cohort).
+  const double estimate =
+      ctx.store != nullptr
+          ? ctx.store->PopulationEstimate(*monitor_, mean_state_.data(), live)
+          : monitor_->EstimateVariance(mean_state_.data());
+  if (estimate <= theta_) {
+    return false;
+  }
+  // Coordinator-mediated synchronization over the live workers; every
+  // contribution lost means the anchor stays put.
+  if (!ctx.SynchronizeModels()) {
+    return false;
+  }
+  if (live_mask != nullptr) {
+    // The coordinator broadcasts the new global model to every live
+    // worker, including those whose contribution was lost.
+    for (size_t k = 0; k < ctx.workers->size(); ++k) {
+      if (is_live(k)) {
+        vec::Copy(ctx.sync_params->data(), (*ctx.workers)[k].view.params,
+                  ctx.dim);
+      }
+    }
+  }
+  monitor_->OnSynchronized(ctx.sync_params->data(),
+                           ctx.prev_sync_params->data());
+  for (float* state : ctx.StatePointers()) {
+    vec::Fill(state, state_size, 0.0f);
+  }
+  return true;
+}
+
+std::string AsyncFdaPolicy::name() const {
+  return "AsyncFDA(" + monitor_->name() + ")";
+}
 
 // ----------------------------------------------------- hierarchical FDA --
 
@@ -236,7 +336,8 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
     if (mask != nullptr && (*mask)[k] == 0) {
       continue;
     }
-    ComputeWorkerState(ctx, monitor_.get(), (*ctx.workers)[k]);
+    WorkerState& worker = (*ctx.workers)[k];
+    ComputeWorkerState(ctx, monitor_.get(), worker, worker.state);
   }
 
   // (2) leaf tier: states AllReduce within each worker group, on that

@@ -6,6 +6,10 @@
 // variance threshold Theta, the Round Invariant Var(w_t) <= Theta can no
 // longer be guaranteed and the costly model synchronization runs.
 //
+// AsyncFdaPolicy is the same protocol on the trainer's event-ordered
+// schedule (paper §3.3): a coordinator re-evaluates H after every single
+// worker step.
+//
 // HierarchicalFdaPolicy is the topology-aware extension of that schedule
 // for TopologyTree networks (cf. Kamp et al.'s hierarchical dynamic
 // averaging, arXiv:1807.03210): drift is controlled on the cheapest tier
@@ -54,6 +58,35 @@ class FdaSyncPolicy : public SyncPolicy {
   double last_estimate_ = 0.0;
   bool record_estimates_ = false;
   std::vector<double> estimate_history_;
+};
+
+/// Asynchronous FDA (paper §3.3). One node acts as coordinator; workers
+/// train at their own pace on the trainer's event-ordered schedule. On
+/// every completed local step the worker uploads its (small) local state
+/// point to point, and the coordinator re-evaluates H over the latest state
+/// of every live worker. When H > Theta it synchronizes the live workers'
+/// models and installs the new global model in every live worker. As the
+/// paper notes, the benefit is not bandwidth — the states are tiny either
+/// way — but that fast workers never block at a per-step barrier behind
+/// stragglers.
+///
+/// The coordinator's view is the arena's state rows: a delivered upload
+/// overwrites its worker's row, a rejoin re-anchoring zeroes it, and a
+/// successful sync clears them all.
+class AsyncFdaPolicy : public SyncPolicy {
+ public:
+  AsyncFdaPolicy(std::unique_ptr<VarianceMonitor> monitor, double theta);
+
+  void Initialize(ClusterContext& ctx) override;
+  bool MaybeSync(ClusterContext& ctx) override;
+  std::string name() const override;
+  bool event_ordered() const override { return true; }
+
+ private:
+  std::unique_ptr<VarianceMonitor> monitor_;
+  double theta_;
+  std::vector<float> fresh_state_;  // the stepping worker's new state
+  std::vector<float> mean_state_;   // the coordinator's mean over live
 };
 
 /// Topology-aware FDA scheduling over the network's TopologyTree

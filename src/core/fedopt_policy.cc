@@ -55,11 +55,9 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
   if (ctx.steps_since_sync < steps_per_round_) {
     return false;
   }
-  if (ctx.participation == nullptr || config_.fault_oblivious) {
-    // Fault-free round (or the deliberately oblivious strawman: stale
-    // params from absent workers are averaged in as if nothing happened).
-    // Client deltas relative to the round-start global model w_global
-    // (held in ctx.sync_params).
+  if (ctx.participation == nullptr) {
+    // Fault-free round. Client deltas relative to the round-start global
+    // model w_global (held in ctx.sync_params).
     for (auto& worker : *ctx.workers) {
       vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
                ctx.dim);

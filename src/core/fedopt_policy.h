@@ -28,12 +28,6 @@ struct FedOptConfig {
   /// Reset local optimizer state at round boundaries (clients are
   /// stateless in the FedOpt formulation).
   bool reset_local_optimizer = true;
-  /// Ignore the round participation mask: average every worker's delta —
-  /// stale params from crashed workers included — and never run the
-  /// loss/retry gauntlet. This is the fault-oblivious strawman the churn
-  /// example measures against. Default off: under fault injection rounds
-  /// average survivors only, with per-contribution loss/retry billing.
-  bool fault_oblivious = false;
   std::string display_name = "FedAvg";
 
   /// FedAvgM per Hsu et al. / the paper §4.1: server SGD-momentum with

@@ -1,6 +1,9 @@
 #include "core/trainer.h"
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <queue>
 
 #include "metrics/evaluation.h"
 #include "nn/loss.h"
@@ -188,6 +191,12 @@ bool ClusterContext::SynchronizeModels() {
   return true;
 }
 
+namespace {
+
+/// Re-anchors a worker that rejoined after a crash: its parameters become
+/// the last synchronized model, and its gradient, drift, optimizer-state
+/// (Optimizer::Reset), and monitor-state arena slices are zeroed. The
+/// caller bills the catch-up model download.
 void ReanchorRejoinedWorker(WorkerArena* arena, WorkerState* worker,
                             const float* sync_params, size_t dim) {
   vec::Copy(sync_params, worker->view.params, dim);
@@ -201,17 +210,51 @@ void ReanchorRejoinedWorker(WorkerArena* arena, WorkerState* worker,
   }
 }
 
-int FleetState::SlotOfClient(uint32_t client) const {
-  auto it = resident_slot.find(client);
-  return it == resident_slot.end() ? -1 : it->second;
-}
+/// Mutable fleet bookkeeping while population > 0: the store, the sampler,
+/// the current slot -> client assignment, and the per-rotation swap
+/// markers the rejoin path consults.
+struct FleetState {
+  ClientStateStore* store = nullptr;
+  CohortSampler* sampler = nullptr;
+  /// The K data shards; client c trains on shard c % K (identity at
+  /// population == K, so resident configs keep their exact partitions).
+  const std::vector<std::vector<size_t>>* shards = nullptr;
+  /// Compressed-sync state (null without compression): rotation pages each
+  /// slot's error-feedback residual out to the departing client and in
+  /// from the arriving one, so compression memory follows the client.
+  SyncCompressor* compressor = nullptr;
+  std::vector<uint32_t> cohort;        // slot -> client id
+  std::map<uint32_t, int> resident_slot;  // client id -> slot
+  std::vector<char> just_swapped;      // slot freshly checked in this round
+  uint64_t rotations = 0;
 
-int RotateFleetCohort(const TrainerConfig& config,
-                      const std::vector<uint32_t>& sampled,
-                      FleetState* fleet, std::vector<WorkerState>* workers,
-                      WorkerArena* arena, SimNetwork* network,
-                      const float* anchor, VarianceMonitor* monitor,
-                      bool initial) {
+  bool enabled() const { return store != nullptr; }
+  /// Resident slot of `client`, or -1.
+  int SlotOfClient(uint32_t client) const {
+    auto it = resident_slot.find(client);
+    return it == resident_slot.end() ? -1 : it->second;
+  }
+};
+
+/// Rotates the resident cohort to `sampled` (one client per slot): sticky
+/// occupants are untouched (no float roundtrip — the bit-identity
+/// contract), departing occupants are checked out into the store, and
+/// arrivals are checked in (params = anchor + stored drift, optimizer
+/// vectors + step count restored, sampler/worker rng streams resumed) with
+/// the model download billed via SimNetwork::AccountCheckInSync. An
+/// arrival's monitor-state row is left as it is: lock-step policies
+/// recompute every participant's state before reading it, and the
+/// event-ordered coordinator has just cleared its view at the sync that
+/// triggered the rotation. `initial` marks the first rotation, where slots
+/// hold BuildWorkerCohort's seeded clients 0..K-1: sticky slots are
+/// adopted into the store and nothing is billed (the broadcast already
+/// paid).
+void RotateFleetCohort(const TrainerConfig& config,
+                       const std::vector<uint32_t>& sampled,
+                       FleetState* fleet, std::vector<WorkerState>* workers,
+                       WorkerArena* arena, SimNetwork* network,
+                       const float* anchor, VarianceMonitor* monitor,
+                       bool initial) {
   FEDRA_CHECK_EQ(sampled.size(), workers->size());
   const size_t dim = arena->dim();
   fleet->just_swapped.assign(workers->size(), 0);
@@ -244,7 +287,6 @@ int RotateFleetCohort(const TrainerConfig& config,
     }
   }
   // Phase 2: check the arrivals in.
-  int swapped = 0;
   for (size_t k = 0; k < workers->size(); ++k) {
     const uint32_t incoming = sampled[k];
     if (incoming == fleet->cohort[k]) {
@@ -256,9 +298,7 @@ int RotateFleetCohort(const TrainerConfig& config,
     worker.optimizer->Reset();
     const ClientStateStore::CheckInResult in = fleet->store->CheckIn(
         incoming, anchor, worker.view.params,
-        arena->opt_state(static_cast<int>(k)),
-        arena->has_state_scratch() ? arena->state(static_cast<int>(k))
-                                   : nullptr,
+        arena->opt_state(static_cast<int>(k)), /*state_out=*/nullptr,
         fleet->compressor != nullptr
             ? fleet->compressor->ResidualData(static_cast<int>(k))
             : nullptr);
@@ -279,13 +319,14 @@ int RotateFleetCohort(const TrainerConfig& config,
     fleet->cohort[k] = incoming;
     fleet->resident_slot[incoming] = static_cast<int>(k);
     fleet->just_swapped[k] = 1;
-    ++swapped;
   }
   ++fleet->rotations;
-  fleet->swaps += static_cast<uint64_t>(swapped);
-  return swapped;
 }
 
+/// Feeds the workers' persistent straggler speed factors into the
+/// network's slowest-link collective cost (clamped to >= 1: factors are
+/// slowdowns); all-ones factors (no stragglers) keep the homogeneous cost
+/// bit-identical.
 void SetLinkFactorsFromWorkers(const std::vector<WorkerState>& workers,
                                SimNetwork* network) {
   std::vector<double> link_factors(workers.size());
@@ -294,6 +335,79 @@ void SetLinkFactorsFromWorkers(const std::vector<WorkerState>& workers,
   }
   network->SetWorkerLinkFactors(std::move(link_factors));
 }
+
+/// Builds the worker cohort over `arena` against the shared `graph`:
+/// partitions `train`, wires every worker's slab slices (view, drift, and
+/// — when the arena's monitor-state scratch is already allocated — state),
+/// creates arena-backed optimizers and per-worker sampler/rng forks
+/// (sampler fork k+1, worker rng fork k+1000, straggler fork 101), and
+/// initializes worker 0 from `initial_params` (or the graph's seeded init
+/// when empty) before broadcasting it to every slice. `straggler_rng_out`
+/// (optional) receives the straggler stream *after* the per-worker factor
+/// draws: the event-ordered schedule samples step durations from that
+/// exact continuation.
+Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
+                         ModelGraph& graph,
+                         const std::vector<float>& initial_params,
+                         WorkerArena* arena,
+                         std::vector<WorkerState>* workers,
+                         Rng* straggler_rng_out) {
+  auto partition =
+      PartitionDataset(train.labels(), config.num_workers, config.partition);
+  if (!partition.ok()) {
+    return partition.status();
+  }
+  Rng master(config.seed);
+  // Fork id 101 is shared by both schedules so the persistent per-worker
+  // speed factors are identical across lock-step and event-ordered runs of
+  // one seed (fair sync-vs-async straggler comparisons).
+  Rng straggler_rng = master.Fork(101);
+  const size_t dim = graph.dim();
+
+  workers->clear();
+  workers->resize(static_cast<size_t>(config.num_workers));
+  for (int k = 0; k < config.num_workers; ++k) {
+    WorkerState& worker = (*workers)[static_cast<size_t>(k)];
+    worker.view = arena->view(k);
+    if (k == 0) {
+      if (initial_params.empty()) {
+        graph.InitParams(config.seed, worker.view);
+      } else {
+        vec::Copy(initial_params.data(), worker.view.params, dim);
+      }
+    } else {
+      vec::Copy(arena->params(0), worker.view.params, dim);
+    }
+    worker.optimizer = Optimizer::Create(config.local_optimizer, dim,
+                                         arena->opt_state(k));
+    worker.sampler = std::make_unique<BatchSampler>(
+        std::move(partition.value()[static_cast<size_t>(k)]),
+        config.batch_size, master.Fork(static_cast<uint64_t>(k) + 1));
+    worker.rng = master.Fork(static_cast<uint64_t>(k) + 1000);
+    worker.drift = arena->drift(k);
+    if (arena->has_state_scratch()) {
+      worker.state = arena->state(k);
+    }
+    worker.shard_size = worker.sampler->dataset_size();
+    worker.speed_factor =
+        config.straggler.SampleWorkerFactor(&straggler_rng);
+  }
+  if (straggler_rng_out != nullptr) {
+    *straggler_rng_out = straggler_rng;
+  }
+  return Status::Ok();
+}
+
+/// One entry of the event-ordered schedule's queue: a worker's next step
+/// completion, or its repair completion after a crash.
+struct StepEvent {
+  double time = 0.0;
+  int worker = 0;
+  bool rejoin = false;
+  bool operator>(const StepEvent& other) const { return time > other.time; }
+};
+
+}  // namespace
 
 SimNetwork MakeSimNetwork(const TrainerConfig& config) {
   return SimNetwork(config.num_workers,
@@ -380,63 +494,6 @@ void DistributedTrainer::SetInitialParams(std::vector<float> params) {
   initial_params_ = std::move(params);
 }
 
-Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
-                         ModelGraph& graph,
-                         const std::vector<float>& initial_params,
-                         WorkerArena* arena,
-                         std::vector<WorkerState>* workers,
-                         Rng* straggler_rng_out) {
-  auto partition =
-      PartitionDataset(train.labels(), config.num_workers, config.partition);
-  if (!partition.ok()) {
-    return partition.status();
-  }
-  Rng master(config.seed);
-  // Fork id 101 is shared by both trainers so the persistent per-worker
-  // speed factors are identical across sync and async runs of one seed.
-  Rng straggler_rng = master.Fork(101);
-  const size_t dim = graph.dim();
-
-  workers->clear();
-  workers->resize(static_cast<size_t>(config.num_workers));
-  for (int k = 0; k < config.num_workers; ++k) {
-    WorkerState& worker = (*workers)[static_cast<size_t>(k)];
-    worker.view = arena->view(k);
-    if (k == 0) {
-      if (initial_params.empty()) {
-        graph.InitParams(config.seed, worker.view);
-      } else {
-        vec::Copy(initial_params.data(), worker.view.params, dim);
-      }
-    } else {
-      vec::Copy(arena->params(0), worker.view.params, dim);
-    }
-    worker.optimizer = Optimizer::Create(config.local_optimizer, dim,
-                                         arena->opt_state(k));
-    worker.sampler = std::make_unique<BatchSampler>(
-        std::move(partition.value()[static_cast<size_t>(k)]),
-        config.batch_size, master.Fork(static_cast<uint64_t>(k) + 1));
-    worker.rng = master.Fork(static_cast<uint64_t>(k) + 1000);
-    worker.drift = arena->drift(k);
-    if (arena->has_state_scratch()) {
-      worker.state = arena->state(k);
-    }
-    worker.shard_size = worker.sampler->dataset_size();
-    worker.speed_factor =
-        config.straggler.SampleWorkerFactor(&straggler_rng);
-  }
-  if (straggler_rng_out != nullptr) {
-    *straggler_rng_out = straggler_rng;
-  }
-  return Status::Ok();
-}
-
-Status DistributedTrainer::Setup(std::vector<WorkerState>* workers,
-                                 WorkerArena* arena) {
-  return BuildWorkerCohort(config_, train_, shared_model_->graph(),
-                           initial_params_, arena, workers);
-}
-
 void DistributedTrainer::WorkerStep(WorkerState* worker,
                                     const Dataset& train) {
   const std::vector<size_t>& batch = worker->sampler->NextBatch();
@@ -462,6 +519,21 @@ void DistributedTrainer::WorkerStep(WorkerState* worker,
 StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
   FEDRA_CHECK(policy != nullptr);
   FEDRA_RETURN_IF_ERROR(config_.Validate());
+  const bool event_ordered = policy->event_ordered();
+  if (event_ordered) {
+    // Link outages and the deadline are defined per BSP round; events have
+    // no round to scope them to.
+    if (config_.faults.link_mttf_rounds > 0.0) {
+      return Status::InvalidArgument(
+          "faults.link_mttf_rounds is round-scoped: the event-ordered "
+          "schedule has no rounds");
+    }
+    if (config_.faults.round_deadline_seconds > 0.0) {
+      return Status::InvalidArgument(
+          "faults.round_deadline_seconds is round-scoped: the event-ordered "
+          "schedule has no rounds");
+    }
+  }
 
   std::vector<WorkerState> workers;
   SimNetwork network = MakeSimNetwork(config_);
@@ -473,7 +545,16 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
   // whole cohort; the shared layer graph lives in shared_model_.
   WorkerArena arena(config_.num_workers, dim_,
                     config_.local_optimizer.StateSlots());
-  FEDRA_RETURN_IF_ERROR(Setup(&workers, &arena));
+  // Step times: lock-step barriers draw from their own stream; events draw
+  // from the straggler fork's continuation after the speed factors.
+  Rng straggler_rng(config_.seed ^ 0xbeefULL);
+  FEDRA_RETURN_IF_ERROR(BuildWorkerCohort(
+      config_, train_, shared_model_->graph(), initial_params_, &arena,
+      &workers, event_ordered ? &straggler_rng : nullptr));
+  auto sample_step_seconds = [&](size_t k) {
+    return config_.straggler.SampleStepSeconds(workers[k].speed_factor,
+                                               &straggler_rng);
+  };
 
   // Straggler-aware collective cost: a persistently slow worker also paces
   // the collectives it participates in (slowest-link formula).
@@ -546,7 +627,11 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
   }
   // Fault layer: a disabled config leaves injector null and every code
   // path below on its exact fault-free route (bit-identical goldens).
+  // `up` is each slot's liveness: the injector's chains on the lock-step
+  // schedule, the per-event crash and repair draws on the event-ordered
+  // one (which also hands it to the policy as the participation mask).
   std::unique_ptr<FaultInjector> injector;
+  std::vector<char> up(workers.size(), 1);
   std::vector<char> participation;
   std::vector<double> step_times;
   if (config_.faults.enabled()) {
@@ -555,7 +640,8 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
       // repair while off-cohort. Link outages group clients by their home
       // leaf (flat topologies give every client its own link). With
       // population == K this mapping equals the resident constructors'
-      // and the chains are bit-identical.
+      // and the chains are bit-identical. The event hooks draw from the
+      // same stream whatever the population.
       std::vector<int> client_links(config_.population);
       int num_links;
       if (leaf_layout != nullptr) {
@@ -578,9 +664,13 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
           config_.faults, config_.num_workers, config_.seed, leaf_layout);
     }
     ctx.faults = injector.get();
-    participation.assign(workers.size(), 1);
-    ctx.participation = &participation;
-    step_times.resize(workers.size());
+    if (event_ordered) {
+      ctx.participation = &up;
+    } else {
+      participation.assign(workers.size(), 1);
+      ctx.participation = &participation;
+      step_times.resize(workers.size());
+    }
   }
   fedprox_anchor_ = sync_params.data();
   policy->Initialize(ctx);
@@ -592,6 +682,54 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     // the pages' residual segment when compressed sync carries memory.
     store->SetResidualSize(
         compressor != nullptr && compressor->has_residuals() ? dim_ : 0);
+  }
+
+  // The fault entity of slot k: the resident client in fleet mode, the
+  // worker itself otherwise.
+  auto entity_of = [&](size_t k) {
+    return fleet.enabled() ? static_cast<int>(fleet.cohort[k])
+                           : static_cast<int>(k);
+  };
+  // Rotates the cohort to the sampler's next pick against the current
+  // anchor (round 0 seeds the resident set).
+  auto rotate_cohort = [&](uint64_t round, const FaultInjector* faults,
+                           bool initial) {
+    const std::vector<uint32_t> sampled =
+        fleet.sampler->Sample(round, faults);
+    RotateFleetCohort(config_, sampled, &fleet, &workers, &arena, &network,
+                      sync_params.data(), ctx.monitor, initial);
+  };
+  TrainResult result;
+  result.algorithm = policy->name();
+  // A rejoiner downloads the last synchronized model (billed catch-up
+  // sync) and restarts from zeroed drift/optimizer/monitor state.
+  auto rejoin = [&](int k) {
+    network.AccountCatchUpSync(dim_, k);
+    ReanchorRejoinedWorker(&arena, &workers[static_cast<size_t>(k)],
+                           sync_params.data(), dim_);
+    if (compressor != nullptr) {
+      // A rejoiner restarts exactly on the global model; stale
+      // compression memory would re-inject its crashed trajectory.
+      compressor->ResetWorker(k);
+    }
+    ++result.rejoin_count;
+  };
+
+  // The event-ordered schedule: one pending event per worker on a
+  // simulated clock. Its cohort is seeded up front and rotates at every
+  // successful sync; sampling never reads the round-scoped availability
+  // chains, so the sampler degrades to uniform.
+  std::priority_queue<StepEvent, std::vector<StepEvent>,
+                      std::greater<StepEvent>>
+      events;
+  double clock = 0.0;
+  if (event_ordered) {
+    if (fleet.enabled()) {
+      rotate_cohort(/*round=*/0, /*faults=*/nullptr, /*initial=*/true);
+    }
+    for (size_t k = 0; k < workers.size(); ++k) {
+      events.push({sample_step_seconds(k), static_cast<int>(k)});
+    }
   }
 
   // The evaluation model holds the average of the worker models — the
@@ -608,9 +746,7 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     // synchronized model is the only meaningful global state.
     size_t live = 0;
     for (size_t k = 0; k < workers.size(); ++k) {
-      const int entity = fleet.enabled() ? static_cast<int>(fleet.cohort[k])
-                                         : static_cast<int>(k);
-      if (injector == nullptr || injector->IsUp(entity)) {
+      if (up[k] != 0) {
         eval_srcs[live++] = workers[k].view.params;
       }
     }
@@ -620,122 +756,180 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     }
     ReduceMeanInto(eval_srcs.data(), live, dim_, eval_model->params());
   };
+  auto sim_seconds = [&] {
+    return event_ordered ? clock
+                         : result.compute_seconds +
+                               network.stats().comm_seconds;
+  };
 
+  // `step` counts lock-step rounds, or completed worker steps on the
+  // event-ordered schedule, where K of them make one in-parallel step.
+  const size_t steps_per_round = event_ordered ? workers.size() : 1;
   const size_t steps_per_epoch = std::max<size_t>(
       1, workers[0].sampler->steps_per_epoch());
-  const size_t eval_every = config_.eval_every_steps > 0
-                                ? config_.eval_every_steps
-                                : steps_per_epoch;
+  const size_t eval_every = (config_.eval_every_steps > 0
+                                 ? config_.eval_every_steps
+                                 : steps_per_epoch) *
+                            steps_per_round;
+  size_t next_eval = eval_every;
+  size_t step = 0;
 
-  TrainResult result;
-  result.algorithm = policy->name();
-  Rng straggler_rng(config_.seed ^ 0xbeefULL);
-
-  for (size_t step = 1; step <= config_.max_steps; ++step) {
-    ctx.step = step;
-    ++ctx.steps_since_sync;
-
-    if (injector != nullptr) {
-      // Advance the fault chains first: the availability-weighted sampler
-      // reads this round's up-state.
-      injector->BeginRound();
-    }
-    if (fleet.enabled()) {
-      if ((step - 1) % static_cast<size_t>(config_.cohort_steps) == 0) {
-        const uint64_t round =
-            (step - 1) / static_cast<size_t>(config_.cohort_steps);
-        const std::vector<uint32_t> sampled =
-            fleet.sampler->Sample(round, injector.get());
-        RotateFleetCohort(config_, sampled, &fleet, &workers, &arena,
-                          &network, sync_params.data(), ctx.monitor,
-                          /*initial=*/step == 1);
-      } else {
-        std::fill(fleet.just_swapped.begin(), fleet.just_swapped.end(), 0);
+  while (step < config_.max_steps * steps_per_round) {
+    if (event_ordered) {
+      FEDRA_CHECK(!events.empty());
+      const StepEvent event = events.top();
+      events.pop();
+      // max(): a pending repair can predate the clock after a sync stall.
+      clock = std::max(clock, event.time);
+      const int w = event.worker;
+      const size_t slot = static_cast<size_t>(w);
+      if (event.rejoin) {
+        // Repair completes: the worker re-anchors and resumes stepping at
+        // its own pace.
+        up[slot] = 1;
+        rejoin(w);
+        events.push({clock + sample_step_seconds(slot), w});
+        continue;
       }
-    }
-    if (injector != nullptr) {
-      // Re-anchor this round's rejoiners: each downloads the last
-      // synchronized model (billed catch-up sync) and restarts from
-      // zeroed drift/optimizer/monitor state. In fleet mode a rejoiner
-      // only pays while resident; a freshly checked-in slot already
-      // re-anchored (and billed) through the store, and an off-cohort
-      // rejoiner's stored state simply waits to be sampled.
-      for (int c : injector->rejoined()) {
-        int k = c;
-        if (fleet.enabled()) {
-          k = fleet.SlotOfClient(static_cast<uint32_t>(c));
-          if (k < 0 || fleet.just_swapped[static_cast<size_t>(k)] != 0) {
-            continue;
+      WorkerStep(&workers[slot], train_);
+      ++step;
+      ctx.step = step;
+      ++ctx.steps_since_sync;
+      if (injector != nullptr && injector->SampleCrash()) {
+        // The worker dies at step completion: nothing is uploaded, its
+        // params go stale, and the repair timer starts now — a geometric
+        // number (mean worker_mttr_rounds) of its own typical step times.
+        up[slot] = 0;
+        const double repair = injector->SampleRepairRounds() *
+                              config_.straggler.base_step_seconds *
+                              workers[slot].speed_factor;
+        events.push({clock + repair, w, /*rejoin=*/true});
+        continue;
+      }
+      ctx.stepped_worker = w;
+      const uint64_t attempts = ctx.sync_count + ctx.skipped_syncs;
+      const bool synced = policy->MaybeSync(ctx);
+      if (ctx.sync_count + ctx.skipped_syncs == attempts) {
+        events.push({clock + sample_step_seconds(slot), w});
+      } else {
+        if (synced && fleet.enabled()) {
+          // Rotate against the fresh anchor: departing clients park their
+          // post-sync drift in the store, arrivals bill a check-in.
+          rotate_cohort(fleet.rotations, /*faults=*/nullptr,
+                        /*initial=*/false);
+        }
+        // An attempted sync stalls everyone, lost or not: all in-flight
+        // compute is abandoned and re-queued after the collective's
+        // duration on the configured topology; pending repairs survive.
+        clock += network.ModelSyncSeconds(
+            compressor != nullptr ? compressor->WireBytes(dim_)
+                                  : dim_ * sizeof(float));
+        std::vector<StepEvent> rejoins;
+        while (!events.empty()) {
+          if (events.top().rejoin) {
+            rejoins.push_back(events.top());
+          }
+          events.pop();
+        }
+        for (const StepEvent& pending : rejoins) {
+          events.push(pending);
+        }
+        for (size_t k = 0; k < workers.size(); ++k) {
+          if (up[k] != 0) {
+            events.push({clock + sample_step_seconds(k),
+                         static_cast<int>(k)});
           }
         }
-        network.AccountCatchUpSync(dim_, k);
-        ReanchorRejoinedWorker(&arena, &workers[static_cast<size_t>(k)],
-                               sync_params.data(), dim_);
-        if (compressor != nullptr) {
-          // A rejoiner restarts exactly on the global model; stale
-          // compression memory would re-inject its crashed trajectory.
-          compressor->ResetWorker(k);
+      }
+    } else {
+      ++step;
+      ctx.step = step;
+      ++ctx.steps_since_sync;
+      if (injector != nullptr) {
+        // Advance the fault chains first: the availability-weighted
+        // sampler reads this round's up-state.
+        injector->BeginRound();
+      }
+      if (fleet.enabled()) {
+        if ((step - 1) % static_cast<size_t>(config_.cohort_steps) == 0) {
+          rotate_cohort((step - 1) / static_cast<size_t>(config_.cohort_steps),
+                        injector.get(), /*initial=*/step == 1);
+        } else {
+          std::fill(fleet.just_swapped.begin(), fleet.just_swapped.end(), 0);
         }
-        ++result.rejoin_count;
+      }
+      if (injector != nullptr) {
+        // Re-anchor this round's rejoiners. In fleet mode a rejoiner only
+        // pays while resident; a freshly checked-in slot already
+        // re-anchored (and billed) through the store, and an off-cohort
+        // rejoiner's stored state simply waits to be sampled.
+        for (int c : injector->rejoined()) {
+          int k = c;
+          if (fleet.enabled()) {
+            k = fleet.SlotOfClient(static_cast<uint32_t>(c));
+            if (k < 0 || fleet.just_swapped[static_cast<size_t>(k)] != 0) {
+              continue;
+            }
+          }
+          rejoin(k);
+        }
+        for (size_t k = 0; k < workers.size(); ++k) {
+          up[k] = injector->IsUp(entity_of(k)) ? 1 : 0;
+        }
+      }
+
+      // The round's K local steps run across the pool (inline on a
+      // 1-thread pool); crashed workers compute nothing this round.
+      GlobalThreadPool().ParallelFor(workers.size(), [&](size_t k) {
+        if (up[k] != 0) {
+          WorkerStep(&workers[k], train_);
+        }
+      });
+
+      // BSP barrier: the step costs the slowest worker's sampled time.
+      double step_seconds = 0.0;
+      if (injector == nullptr) {
+        for (size_t k = 0; k < workers.size(); ++k) {
+          step_seconds = std::max(step_seconds, sample_step_seconds(k));
+        }
+      } else {
+        // Sample every worker's time (the straggler stream stays aligned
+        // with the fault-free run), then mask to the sync-eligible fleet —
+        // up workers behind a live link — and let the deadline cut the
+        // rest.
+        for (size_t k = 0; k < workers.size(); ++k) {
+          step_times[k] = sample_step_seconds(k);
+          participation[k] =
+              up[k] != 0 && injector->LinkUp(entity_of(k)) ? 1 : 0;
+        }
+        step_seconds = injector->ApplyDeadline(step_times, &participation);
+      }
+      result.compute_seconds += step_seconds;
+
+      bool round_has_participants = true;
+      if (injector != nullptr) {
+        round_has_participants = false;
+        for (char participant : participation) {
+          round_has_participants |= participant != 0;
+        }
+      }
+      if (round_has_participants) {
+        policy->MaybeSync(ctx);
+      } else {
+        // Zero-survivor round: nobody can reach the network, so the
+        // policy never runs — all state carries forward to the next round.
+        ++result.zero_participant_rounds;
+        FEDRA_LOG(WARNING) << "round " << step
+                           << ": no sync-eligible worker, sync skipped";
       }
     }
 
-    // The fault entity of slot k: the resident client in fleet mode, the
-    // worker itself otherwise.
-    auto entity_of = [&](size_t k) {
-      return fleet.enabled() ? static_cast<int>(fleet.cohort[k])
-                             : static_cast<int>(k);
-    };
-
-    // The round's K local steps run across the pool (inline on a 1-thread
-    // pool); crashed workers compute nothing this round.
-    GlobalThreadPool().ParallelFor(workers.size(), [&](size_t k) {
-      if (injector == nullptr || injector->IsUp(entity_of(k))) {
-        WorkerStep(&workers[k], train_);
-      }
-    });
-
-    // BSP barrier: the step costs the slowest worker's sampled time.
-    double step_seconds = 0.0;
-    if (injector == nullptr) {
-      for (auto& worker : workers) {
-        step_seconds = std::max(
-            step_seconds, config_.straggler.SampleStepSeconds(
-                              worker.speed_factor, &straggler_rng));
-      }
-    } else {
-      // Sample every worker's time (the straggler stream stays aligned
-      // with the fault-free run), then mask to the sync-eligible fleet —
-      // up workers behind a live link — and let the deadline cut the rest.
-      for (size_t k = 0; k < workers.size(); ++k) {
-        step_times[k] = config_.straggler.SampleStepSeconds(
-            workers[k].speed_factor, &straggler_rng);
-        const int entity = entity_of(k);
-        participation[k] =
-            injector->IsUp(entity) && injector->LinkUp(entity) ? 1 : 0;
-      }
-      step_seconds = injector->ApplyDeadline(step_times, &participation);
+    const bool eval_due = step >= next_eval;
+    if (eval_due) {
+      next_eval += eval_every;
     }
-    result.compute_seconds += step_seconds;
-
-    bool round_has_participants = true;
-    if (injector != nullptr) {
-      round_has_participants = false;
-      for (char participant : participation) {
-        round_has_participants |= participant != 0;
-      }
-    }
-    if (round_has_participants) {
-      policy->MaybeSync(ctx);
-    } else {
-      // Zero-survivor round: nobody can reach the network, so the policy
-      // never runs — all state carries forward to the next round.
-      ++result.zero_participant_rounds;
-      FEDRA_LOG(WARNING) << "round " << step
-                         << ": no sync-eligible worker, sync skipped";
-    }
-
-    if (step % eval_every == 0 || step == config_.max_steps) {
+    // The lock-step schedule always closes with an evaluation.
+    if (eval_due || (!event_ordered && step == config_.max_steps)) {
       refresh_eval_model();
       EvalResult test_eval = EvaluateSubset(
           eval_model, test_, config_.eval_subset, config_.seed ^ step);
@@ -743,22 +937,21 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
           EvaluateSubset(eval_model, train_, config_.eval_subset,
                          config_.seed ^ (step + 77));
       EvalPoint point;
-      point.step = step;
-      point.epoch = static_cast<double>(step) /
+      point.step = step / steps_per_round;
+      point.epoch = static_cast<double>(point.step) /
                     static_cast<double>(steps_per_epoch);
       point.test_accuracy = test_eval.accuracy;
       point.train_accuracy = train_eval.accuracy;
       point.bytes = network.stats().bytes_total;
       point.sync_count = ctx.sync_count;
-      point.sim_seconds = result.compute_seconds +
-                          network.stats().comm_seconds;
+      point.sim_seconds = sim_seconds();
       result.history.push_back(point);
 
       if (!result.reached_target &&
           test_eval.accuracy >= config_.accuracy_target) {
         result.reached_target = true;
-        result.steps_to_target = step;
-        result.bytes_to_target = network.stats().bytes_total;
+        result.steps_to_target = point.step;
+        result.bytes_to_target = point.bytes;
         result.syncs_to_target = ctx.sync_count;
         result.sim_seconds_to_target = point.sim_seconds;
         break;  // training run is defined as "until the target epoch"
@@ -774,9 +967,7 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
                      std::min<size_t>(train_.size(), 2048),
                      config_.seed ^ 0x51ULL)
           .accuracy;
-  result.total_steps = result.history.empty()
-                           ? config_.max_steps
-                           : result.history.back().step;
+  result.total_steps = step / steps_per_round;
   result.total_syncs = ctx.sync_count;
   result.skipped_syncs = ctx.skipped_syncs;
   result.comm = network.stats();
@@ -784,8 +975,7 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
     result.steps_to_target = result.total_steps;
     result.bytes_to_target = result.comm.bytes_total;
     result.syncs_to_target = ctx.sync_count;
-    result.sim_seconds_to_target =
-        result.compute_seconds + result.comm.comm_seconds;
+    result.sim_seconds_to_target = sim_seconds();
   }
   fedprox_anchor_ = nullptr;  // points into this Run's locals
   return result;

@@ -5,24 +5,36 @@
 // its own shard, runs Optimize(w_k, B_k), and then the SyncPolicy decides
 // whether (and how) to synchronize. Policies implement the full spectrum the
 // paper compares: FDA variants (state AllReduce + conditional model sync),
-// Synchronous/BSP (sync every step), Local-SGD schedules, and the FedOpt
-// family (periodic server-optimizer rounds). The trainer owns the paper's
-// two cost metrics: communication (bytes, via SimNetwork) and computation
-// (In-Parallel Learning Steps = loop iterations).
+// asynchronous FDA (paper §3.3), Synchronous/BSP (sync every step),
+// Local-SGD schedules, and the FedOpt family (periodic server-optimizer
+// rounds). The trainer owns the paper's two cost metrics: communication
+// (bytes, via SimNetwork) and computation (In-Parallel Learning Steps).
 //
-// Threading: each round's K worker steps always run across
+// One loop, two schedules, chosen by the policy (SyncPolicy::
+// event_ordered()). Setup, the fleet store, faults, rejoin re-anchoring,
+// evaluation and the result are the same code for both:
+//   lock-step      (default) one iteration is one BSP round: every up
+//                  worker steps, the round costs the slowest worker's
+//                  sampled time, and MaybeSync runs once.
+//   event-ordered  one iteration is one event on a simulated clock: a
+//                  worker's step completes (then MaybeSync runs for that
+//                  worker alone), or a crashed worker's repair completes.
+//                  Fast workers never wait for slow ones; an attempted sync
+//                  stalls everyone for the collective's duration.
+//
+// Threading: each lock-step round's K worker steps run across
 // GlobalThreadPool() (one ParallelFor per round; inline on a 1-thread
 // pool). Workers own disjoint arena rows, their own rng/sampler streams
 // and a leased execution slot of the shared graph, so the result is
 // bit-identical for any FEDRA_NUM_THREADS (docs/determinism.md). The rest
-// of a round — the policy, rotation, faults, evaluation — is driven from
-// the calling thread; its collectives and kernels fan out over the same
-// pool with fixed-chunk grains.
+// of a round — the policy, rotation, faults, evaluation — and the whole
+// event-ordered schedule are driven from the calling thread; their
+// collectives and kernels fan out over the same pool with fixed-chunk
+// grains.
 
 #ifndef FEDRA_CORE_TRAINER_H_
 #define FEDRA_CORE_TRAINER_H_
 
-#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -67,9 +79,15 @@ struct ClusterContext {
   size_t dim = 0;
   std::vector<float>* sync_params = nullptr;       // w_t0 (last sync)
   std::vector<float>* prev_sync_params = nullptr;  // w_t-1 (previous sync)
+  /// Lock-step rounds completed (this one included), or worker steps
+  /// completed on the event-ordered schedule.
   size_t step = 0;
   size_t steps_since_sync = 0;
   size_t sync_count = 0;
+  /// Event-ordered schedule: the worker whose local step just completed,
+  /// the one MaybeSync runs for. -1 on the lock-step schedule, where every
+  /// participant stepped.
+  int stepped_worker = -1;
   /// Optional sync compression (paper §2 compatibility); owned by trainer.
   SyncCompressor* compressor = nullptr;
   /// Fault layer (null for fault-free runs; owned by the trainer). Policies
@@ -77,7 +95,8 @@ struct ClusterContext {
   FaultInjector* faults = nullptr;
   /// The current round's participation mask (sync-eligible survivors), one
   /// char per worker; null means everyone participates. Policies must
-  /// average and bill only over participants.
+  /// average and bill only over participants. On the event-ordered
+  /// schedule it marks the live (not crashed) workers.
   const std::vector<char>* participation = nullptr;
   /// Syncs abandoned because no contribution survived message loss.
   uint64_t skipped_syncs = 0;
@@ -133,6 +152,11 @@ class SyncPolicy {
   virtual bool MaybeSync(ClusterContext& ctx) = 0;
 
   virtual std::string name() const = 0;
+
+  /// Picks the trainer's schedule: false (the default) runs lock-step
+  /// rounds; true runs the event-ordered schedule, calling MaybeSync once
+  /// per completed worker step with ctx.stepped_worker set.
+  virtual bool event_ordered() const { return false; }
 };
 
 struct TrainerConfig {
@@ -143,7 +167,9 @@ struct TrainerConfig {
   uint64_t seed = 17;
 
   /// Run until test accuracy >= accuracy_target (checked every
-  /// eval_every_steps) or until max_steps.
+  /// eval_every_steps) or until max_steps in-parallel steps: max_steps
+  /// lock-step rounds, or K * max_steps worker steps on the event-ordered
+  /// schedule.
   double accuracy_target = 1.1;  // > 1 disables early stop
   size_t max_steps = 2000;
   size_t eval_every_steps = 0;   // 0 => once per local epoch
@@ -163,7 +189,8 @@ struct TrainerConfig {
   /// Fault injection: worker churn, link outages, sync-message loss, and
   /// the round deadline (see sim/fault_model.h). Disabled by default; the
   /// disabled config keeps every trainer code path bit-identical to the
-  /// fault-free build.
+  /// fault-free build. The event-ordered schedule draws churn per completed
+  /// step and rejects the round-scoped faults (link outages, deadline).
   FaultConfig faults;
 
   /// Lossy compression of the synchronization payload (paper §2: FDA only
@@ -189,8 +216,9 @@ struct TrainerConfig {
   /// (and never exceed the topology's K resident leaf slots) — Validate
   /// rejects anything else with a Status.
   int cohort_size = 0;
-  /// Rounds between cohort rotations in the synchronous trainer (the
-  /// async trainer rotates at every global sync instead). >= 1.
+  /// Rounds between cohort rotations on the lock-step schedule (the
+  /// event-ordered schedule rotates at every successful sync instead).
+  /// >= 1.
   int cohort_steps = 1;
   /// How the CohortSampler picks each round's cohort.
   CohortScheduleKind cohort_schedule = CohortScheduleKind::kUniform;
@@ -201,86 +229,8 @@ struct TrainerConfig {
 };
 
 /// Builds the SimNetwork a TrainerConfig describes: over `topology` when it
-/// is enabled, over TopologyTree::SingleTier(network) otherwise. Shared by
-/// the synchronous and async trainers so topology selection cannot diverge
-/// between them.
+/// is enabled, over TopologyTree::SingleTier(network) otherwise.
 SimNetwork MakeSimNetwork(const TrainerConfig& config);
-
-/// Feeds the workers' persistent straggler speed factors into the
-/// network's slowest-link collective cost (clamped to >= 1: factors are
-/// slowdowns). Shared by both trainers so the straggler->link mapping
-/// cannot diverge between them; all-ones factors (no stragglers) keep the
-/// homogeneous cost bit-identical.
-void SetLinkFactorsFromWorkers(const std::vector<WorkerState>& workers,
-                               SimNetwork* network);
-
-/// Builds the worker cohort over `arena` against the shared `graph`:
-/// partitions `train`, wires every worker's slab slices (view, drift, and
-/// — when the arena's monitor-state scratch is already allocated — state),
-/// creates arena-backed optimizers and per-worker sampler/rng forks, and
-/// initializes worker 0 from `initial_params` (or the graph's seeded init
-/// when empty) before broadcasting it to every slice. Shared by the
-/// synchronous and async trainers so their per-seed rng streams (sampler
-/// fork k+1, worker rng fork k+1000, straggler fork 101) can never
-/// diverge — the fair sync-vs-async straggler comparisons depend on it.
-/// `straggler_rng_out` (optional) receives the straggler stream *after*
-/// the per-worker factor draws — the async trainer keeps sampling step
-/// durations from that exact continuation.
-Status BuildWorkerCohort(const TrainerConfig& config, const Dataset& train,
-                         ModelGraph& graph,
-                         const std::vector<float>& initial_params,
-                         WorkerArena* arena,
-                         std::vector<WorkerState>* workers,
-                         Rng* straggler_rng_out = nullptr);
-
-/// Re-anchors a worker that rejoined after a crash: its parameters become
-/// the last synchronized model, and its gradient, drift, optimizer-state
-/// (Optimizer::Reset), and monitor-state arena slices are zeroed. The
-/// caller bills the catch-up model download. Shared by the synchronous and
-/// async trainers.
-void ReanchorRejoinedWorker(WorkerArena* arena, WorkerState* worker,
-                            const float* sync_params, size_t dim);
-
-/// Mutable fleet bookkeeping both trainers carry while population > 0:
-/// the store, the sampler, the current slot -> client assignment, and the
-/// per-rotation swap markers the rejoin path consults.
-struct FleetState {
-  ClientStateStore* store = nullptr;
-  CohortSampler* sampler = nullptr;
-  /// The K data shards; client c trains on shard c % K (identity at
-  /// population == K, so resident configs keep their exact partitions).
-  const std::vector<std::vector<size_t>>* shards = nullptr;
-  /// Compressed-sync state (null without compression): rotation pages each
-  /// slot's error-feedback residual out to the departing client and in
-  /// from the arriving one, so compression memory follows the client.
-  SyncCompressor* compressor = nullptr;
-  std::vector<uint32_t> cohort;        // slot -> client id
-  std::map<uint32_t, int> resident_slot;  // client id -> slot
-  std::vector<char> just_swapped;      // slot freshly checked in this round
-  uint64_t rotations = 0;
-  uint64_t swaps = 0;  // non-sticky check-ins across the run
-
-  bool enabled() const { return store != nullptr; }
-  /// Resident slot of `client`, or -1.
-  int SlotOfClient(uint32_t client) const;
-};
-
-/// Rotates the resident cohort to `sampled` (one client per slot): sticky
-/// occupants are untouched (no float roundtrip — the bit-identity
-/// contract), departing occupants are checked out into the store, and
-/// arrivals are checked in (params = anchor + stored drift, optimizer
-/// vectors + step count restored, sampler/worker rng streams resumed) with
-/// the model download billed via SimNetwork::AccountCheckInSync. `initial`
-/// marks the first rotation, where slots hold BuildWorkerCohort's seeded
-/// clients 0..K-1: sticky slots are adopted into the store and nothing is
-/// billed (the broadcast already paid). Returns the number of swapped
-/// slots. Shared by the synchronous and async trainers.
-int RotateFleetCohort(const TrainerConfig& config,
-                      const std::vector<uint32_t>& sampled,
-                      FleetState* fleet, std::vector<WorkerState>* workers,
-                      WorkerArena* arena, SimNetwork* network,
-                      const float* anchor, VarianceMonitor* monitor,
-                      bool initial);
 
 /// One point of the training history (recorded at every evaluation).
 struct EvalPoint {
@@ -308,7 +258,10 @@ struct TrainResult {
   double final_test_accuracy = 0.0;
   double final_train_accuracy = 0.0;
   CommStats comm;
-  double compute_seconds = 0.0;    // simulated compute time (BSP barrier)
+  double compute_seconds = 0.0;    // simulated compute time: the sum of the
+                                   // lock-step BSP barriers (0 on the
+                                   // event-ordered schedule, whose clock
+                                   // is sim_seconds_to_target)
   // Fault-layer outcome (all zero for fault-free configs).
   uint64_t rejoin_count = 0;             // catch-up syncs paid by rejoiners
   uint64_t zero_participant_rounds = 0;  // rounds with no sync-eligible
@@ -345,7 +298,6 @@ class DistributedTrainer {
   Model& shared_model() { return *shared_model_; }
 
  private:
-  Status Setup(std::vector<WorkerState>* workers, WorkerArena* arena);
   void WorkerStep(WorkerState* worker, const Dataset& train);
 
   Dataset train_;

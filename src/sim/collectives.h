@@ -222,7 +222,7 @@ class SimNetwork {
 
   /// Simulated duration of one full-model collective of `payload_bytes` per
   /// worker under the configured topology/algorithm (no accounting) — the
-  /// async trainer's synchronization stall.
+  /// synchronization stall of the trainer's event-ordered schedule.
   double ModelSyncSeconds(size_t payload_bytes) const;
 
   const CommStats& stats() const { return stats_; }

@@ -87,8 +87,8 @@ struct FaultConfig {
 };
 
 /// Seeded source of per-round fault schedules. One injector serves one
-/// training run; the trainer calls BeginRound() once per BSP round (the
-/// async trainer uses the event-level Sample* hooks instead).
+/// training run; the trainer calls BeginRound() once per lock-step round
+/// (its event-ordered schedule uses the event-level Sample* hooks instead).
 class FaultInjector {
  public:
   /// `tree` (optional, must outlive the injector) groups link outages by
@@ -149,8 +149,8 @@ class FaultInjector {
                        std::vector<char>* mask) const;
 
   // ------------------------------------------------ event-driven hooks --
-  // The async trainer has no rounds; it samples the same hazards per
-  // completed worker step.
+  // The trainer's event-ordered schedule has no rounds; it samples the same
+  // hazards per completed worker step.
 
   /// True when the worker crashes at the end of its current step
   /// (probability 1 / worker_mttf_rounds). Draws nothing with churn off.

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/algorithms.h"
 #include "core/client_store.h"
 #include "core/compression.h"
 #include "core/fda_policy.h"
@@ -20,6 +21,7 @@
 #include "sim/collectives.h"
 #include "sim/topology_tree.h"
 #include "tensor/vec_ops.h"
+#include "tests/test_util.h"
 #include "util/rng.h"
 
 namespace fedra {
@@ -643,6 +645,58 @@ TEST(CompressedHierarchyTest, SubtreeSyncsBillCompressedBytes) {
   const double coded_per_sync =
       static_cast<double>(coded.comm.bytes_model_sync) /
       static_cast<double>(coded_local);
+  EXPECT_LT(coded_per_sync, 0.3 * plain_per_sync);
+}
+
+TEST(CompressedAsyncTest, TopKQ8AsyncFdaRerunsAndShrinksSyncs) {
+  // Asynchronous FDA used to reject sync_compression. On the trainer's
+  // event-ordered schedule its syncs take the shared compressed path: the
+  // run finishes, reruns bit-identically, and every sync ships far fewer
+  // model bytes than the uncompressed async run's.
+  SynthImageConfig data_config = MnistLikeConfig();
+  data_config.num_train = 512;
+  data_config.num_test = 256;
+  data_config.image_size = 16;
+  auto data = GenerateSynthImages(data_config);
+  ASSERT_TRUE(data.ok());
+  ModelFactory factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
+
+  auto run = [&](CompressionConfig compression) {
+    TrainerConfig config;
+    config.num_workers = 4;
+    config.batch_size = 16;
+    config.local_optimizer = OptimizerConfig::Adam(0.002f);
+    config.seed = 23;
+    config.max_steps = 40;
+    config.eval_every_steps = 10;
+    config.eval_subset = 128;
+    config.straggler = StragglerModel::Heavy(0.01);
+    config.sync_compression = compression;
+    DistributedTrainer trainer(factory, data->train, data->test, config);
+    AlgorithmConfig algorithm = AlgorithmConfig::AsyncFda(0.02);
+    algorithm.monitor.kind = MonitorKind::kLinear;
+    auto policy = MakeSyncPolicy(algorithm, trainer.model_dim());
+    FEDRA_CHECK(policy.ok()) << policy.status();
+    auto result = trainer.Run(policy->get());
+    FEDRA_CHECK(result.ok()) << result.status();
+    return *result;
+  };
+
+  const CompressionConfig top5_q8 = CompressionConfig::TopKQuantize(0.05, 8);
+  const TrainResult coded = run(top5_q8);
+  const TrainResult rerun = run(top5_q8);
+  const TrainResult plain = run(CompressionConfig::None());
+  EXPECT_EQ(coded.total_steps, 40u);
+  EXPECT_EQ(testing::HexHash(testing::HashTrainResult(coded)),
+            testing::HexHash(testing::HashTrainResult(rerun)));
+  ASSERT_GT(coded.total_syncs, 0u);
+  ASSERT_GT(plain.total_syncs, 0u);
+  const double plain_per_sync =
+      static_cast<double>(plain.comm.bytes_model_sync) /
+      static_cast<double>(plain.total_syncs);
+  const double coded_per_sync =
+      static_cast<double>(coded.comm.bytes_model_sync) /
+      static_cast<double>(coded.total_syncs);
   EXPECT_LT(coded_per_sync, 0.3 * plain_per_sync);
 }
 

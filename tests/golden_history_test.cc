@@ -2,9 +2,11 @@
 //
 // The hard guarantee of the PR that introduced ModelGraph + WorkerArena is
 // that execution is *bit-identical* to the old one-Model-per-worker trainer:
-// for a fixed seed, DistributedTrainer::Run and AsyncFdaTrainer::Run must
-// produce the same EvalPoint history (step, accuracies, bytes, sync_count)
-// they produced before the refactor. Worker steps always run on the global
+// for a fixed seed, DistributedTrainer::Run must produce the same EvalPoint
+// history (step, accuracies, bytes, sync_count) it produced before the
+// refactor, on both of its schedules (the asynchronous FDA goldens were
+// captured from the standalone async trainer the event-ordered schedule
+// replaced). Worker steps always run on the global
 // pool, so the goldens must hold at every FEDRA_NUM_THREADS: the suite
 // passes in the default and single-thread legs, and the thread sweep at the
 // end re-runs the parallel workloads in children at 1 and 4 threads.
@@ -26,7 +28,6 @@
 #include <gtest/gtest.h>
 
 #include "core/algorithms.h"
-#include "core/async_fda.h"
 #include "core/fda_policy.h"
 #include "data/synth.h"
 #include "nn/zoo.h"
@@ -214,21 +215,26 @@ TEST(GoldenHistoryTest, MlpFedAvg) {
   ExpectHistoryMatches("MlpFedAvg", result->history, kMlpFedAvg);
 }
 
-TEST(GoldenHistoryTest, MlpAsyncFda) {
-  SynthImageData data = SmallMnistLike();
+/// Three-worker async LinearFDA: 50 in-parallel steps, 150 worker steps.
+TrainResult RunMlpAsyncFda(const SynthImageData& data, TrainerConfig config) {
   auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
-  TrainerConfig config = MlpConfig(3);
+  config.max_steps = 50;
   config.eval_every_steps = 10;
   config.straggler = StragglerModel::None(0.01);
-  AsyncFdaConfig async_config;
-  async_config.theta = 0.5;
-  async_config.monitor.kind = MonitorKind::kLinear;
-  async_config.max_total_worker_steps = 150;
-  AsyncFdaTrainer trainer(factory, data.train, data.test, config,
-                          async_config);
-  auto result = trainer.Run();
-  ASSERT_TRUE(result.ok()) << result.status();
-  ExpectHistoryMatches("MlpAsync", result->base.history, kMlpAsync);
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  AlgorithmConfig algorithm = AlgorithmConfig::AsyncFda(0.5);
+  algorithm.monitor.kind = MonitorKind::kLinear;
+  auto policy = MakeSyncPolicy(algorithm, trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
+  FEDRA_CHECK(result.ok());
+  return std::move(result).value();
+}
+
+TEST(GoldenHistoryTest, MlpAsyncFda) {
+  ExpectHistoryMatches("MlpAsync",
+                       RunMlpAsyncFda(SmallMnistLike(), MlpConfig(3)).history,
+                       kMlpAsync);
 }
 
 // Captured at the parity-verified introduction of the hierarchical FDA
@@ -338,22 +344,12 @@ TEST(GoldenHistoryTest, FleetHierarchicalPopulationEqualsCohortMatchesGolden) {
 }
 
 TEST(GoldenHistoryTest, FleetAsyncPopulationEqualsCohortMatchesGolden) {
-  SynthImageData data = SmallMnistLike();
-  auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
   TrainerConfig config = MlpConfig(3);
-  config.eval_every_steps = 10;
-  config.straggler = StragglerModel::None(0.01);
   config.population = 3;
   config.cohort_size = 3;
-  AsyncFdaConfig async_config;
-  async_config.theta = 0.5;
-  async_config.monitor.kind = MonitorKind::kLinear;
-  async_config.max_total_worker_steps = 150;
-  AsyncFdaTrainer trainer(factory, data.train, data.test, config,
-                          async_config);
-  auto result = trainer.Run();
-  ASSERT_TRUE(result.ok()) << result.status();
-  ExpectHistoryMatches("MlpAsyncFleet", result->base.history, kMlpAsync);
+  ExpectHistoryMatches("MlpAsyncFleet",
+                       RunMlpAsyncFda(SmallMnistLike(), config).history,
+                       kMlpAsync);
 }
 
 // ---------------------------------------------------------------------------
@@ -364,7 +360,8 @@ TEST(GoldenHistoryTest, FleetAsyncPopulationEqualsCohortMatchesGolden) {
 // delivery, then one sync-delivery draw per live worker) and its queue
 // rebuild after every attempted sync all show up in these numbers. The
 // values were captured with FEDRA_GOLDEN_PRINT=1 at commit 05e653a, from
-// the standalone event-driven async trainer.
+// the standalone event-driven async trainer the event-ordered schedule
+// replaced.
 
 struct AsyncGolden {
   uint64_t total_syncs;
@@ -455,18 +452,17 @@ TrainerConfig AsyncConfig() {
 }
 
 TrainResult RunAsyncLinearFda(const SynthImageData& data,
-                              const TrainerConfig& config, double theta) {
+                              TrainerConfig config, double theta) {
   auto factory = [] { return zoo::Mlp(16 * 16, {24}, 10); };
-  AsyncFdaConfig async_config;
-  async_config.theta = theta;
-  async_config.monitor.kind = MonitorKind::kLinear;
-  async_config.max_total_worker_steps =
-      50 * static_cast<size_t>(config.num_workers);
-  AsyncFdaTrainer trainer(factory, data.train, data.test, config,
-                          async_config);
-  auto result = trainer.Run();
+  config.max_steps = 50;
+  DistributedTrainer trainer(factory, data.train, data.test, config);
+  AlgorithmConfig algorithm = AlgorithmConfig::AsyncFda(theta);
+  algorithm.monitor.kind = MonitorKind::kLinear;
+  auto policy = MakeSyncPolicy(algorithm, trainer.model_dim());
+  FEDRA_CHECK(policy.ok());
+  auto result = trainer.Run(policy->get());
   FEDRA_CHECK(result.ok());
-  return std::move(result)->base;
+  return std::move(result).value();
 }
 
 /// Resident workers under churn and heavy message loss with one retry:
@@ -658,8 +654,8 @@ TEST(GoldenHistoryTest, CompressedFleetMatchesGolden) {
 
 // ---------------------------------------------------------------------------
 // Thread-count parity: the parallel workloads above (4- and 8-worker MLPs,
-// the BatchNorm DenseNet) must produce bit-identical results for any pool
-// size. The global pool is sized once per process, so the sweep re-runs
+// the BatchNorm DenseNet, the async fault/fleet/topology runs) must produce
+// bit-identical results for any pool size. The global pool is sized once per process, so the sweep re-runs
 // the hash test in children pinned to 1 and 4 threads; the 1-thread child
 // is the serial reference.
 
@@ -668,7 +664,13 @@ uint64_t GoldenSweepHash() {
   uint64_t hash = testing::HashTrainResult(RunMlpLinearFda(data));
   hash = hash * 31 +
          testing::HashTrainResult(RunThreeTierHierarchicalFda(data));
-  return hash * 31 + testing::HashTrainResult(RunDenseNetLinearFda());
+  hash = hash * 31 + testing::HashTrainResult(RunDenseNetLinearFda());
+  // The event-ordered schedule steps one worker at a time on the calling
+  // thread; its kernels and collectives still fan out over the pool.
+  hash = hash * 31 + testing::HashTrainResult(RunAsyncChurnLoss(data));
+  hash = hash * 31 + testing::HashTrainResult(RunAsyncFleetChurn(data));
+  return hash * 31 +
+         testing::HashTrainResult(RunAsyncEdgeCloudStragglers(data));
 }
 
 TEST(GoldenHistoryThreadSweepTest, HashModePrintsWorkloadHash) {
