@@ -363,6 +363,124 @@ TEST(FaultCollectivesTest, SubtreeSubsetSingleSurvivorIsFree) {
   }
 }
 
+// Every CommStats field a collective writes, compared bit for bit.
+void ExpectSameStats(const CommStats& a, const CommStats& b) {
+  EXPECT_EQ(a.allreduce_calls, b.allreduce_calls);
+  EXPECT_EQ(a.model_sync_count, b.model_sync_count);
+  EXPECT_EQ(a.subtree_allreduce_calls, b.subtree_allreduce_calls);
+  EXPECT_EQ(a.subtree_sync_count, b.subtree_sync_count);
+  EXPECT_EQ(a.bytes_total, b.bytes_total);
+  EXPECT_EQ(a.bytes_local_state, b.bytes_local_state);
+  EXPECT_EQ(a.bytes_model_sync, b.bytes_model_sync);
+  EXPECT_EQ(a.comm_seconds, b.comm_seconds);
+  EXPECT_EQ(a.seconds_local_state, b.seconds_local_state);
+  EXPECT_EQ(a.seconds_model_sync, b.seconds_model_sync);
+  EXPECT_EQ(a.seconds_by_depth, b.seconds_by_depth);
+  EXPECT_EQ(a.bytes_by_depth, b.bytes_by_depth);
+}
+
+// The contract that lets every caller take the participant-list path: a
+// full ascending participant list reproduces the unmasked collective bit
+// for bit (values, bytes, simulated seconds, both breakdowns, counters) on
+// every topology and transport algorithm, with and without link factors,
+// and a subtree collective under an all-ones mask reproduces the null mask.
+TEST(FaultCollectivesTest, FullParticipantListMatchesUnmaskedCollective) {
+  const int k = 6;
+  const size_t n = 53;
+  const std::vector<int> everyone = {0, 1, 2, 3, 4, 5};
+  const std::vector<char> all_ones(k, 1);
+  const std::vector<size_t> payloads = {400, 212, 97, 400, 8, 150};
+  const std::vector<double> slow_links = {1.0, 3.0, 1.0, 1.5, 1.0, 2.0};
+  struct Setup {
+    const char* name;
+    TopologyTree tree;
+    AllReduceAlgorithm algorithm;
+  };
+  const std::vector<Setup> setups = {
+      {"flat", TopologyTree::SingleTier(NetworkModel::Hpc()),
+       AllReduceAlgorithm::kFlat},
+      {"ring", TopologyTree::SingleTier(NetworkModel::Hpc()),
+       AllReduceAlgorithm::kRing},
+      {"halving", TopologyTree::SingleTier(NetworkModel::Hpc()),
+       AllReduceAlgorithm::kRecursiveHalving},
+      {"edge-cloud", TopologyTree::EdgeCloud(2), AllReduceAlgorithm::kRing},
+      {"device-site-cloud", TopologyTree::DeviceSiteCloud(2, 2),
+       AllReduceAlgorithm::kFlat},
+  };
+  for (const Setup& setup : setups) {
+    for (bool link_factors : {false, true}) {
+      SCOPED_TRACE(std::string(setup.name) +
+                   (link_factors ? " + link factors" : ""));
+      SimNetwork plain(k, setup.tree, setup.algorithm);
+      SimNetwork subset(k, setup.tree, setup.algorithm);
+      if (link_factors) {
+        plain.SetWorkerLinkFactors(slow_links);
+        subset.SetWorkerLinkFactors(slow_links);
+      }
+      // Fresh identical inputs before every collective, so each one
+      // averages distinct spans rather than an already-equal fleet.
+      std::vector<std::vector<float>> plain_data(
+          k, std::vector<float>(n));
+      std::vector<std::vector<float>> subset_data = plain_data;
+      Rng rng(31);
+      auto refill = [&] {
+        for (auto& buffer : plain_data) {
+          for (auto& x : buffer) {
+            x = rng.NextUniform(-4.0f, 4.0f);
+          }
+        }
+        subset_data = plain_data;
+      };
+      std::vector<float*> plain_ptrs;
+      std::vector<float*> subset_ptrs;
+      for (int w = 0; w < k; ++w) {
+        plain_ptrs.push_back(plain_data[static_cast<size_t>(w)].data());
+        subset_ptrs.push_back(subset_data[static_cast<size_t>(w)].data());
+      }
+      refill();
+      plain.AllReduceAverage(plain_ptrs, n, TrafficClass::kModelSync);
+      subset.AllReduceAverageSubset(subset_ptrs, everyone, n,
+                                    TrafficClass::kModelSync);
+      EXPECT_EQ(plain_data, subset_data);
+      ExpectSameStats(plain.stats(), subset.stats());
+      refill();
+      plain.AllReduceAverageWithPayloads(plain_ptrs, n, payloads,
+                                         TrafficClass::kLocalState);
+      subset.AllReduceAverageSubsetWithPayloads(
+          subset_ptrs, everyone, n, payloads, TrafficClass::kLocalState);
+      EXPECT_EQ(plain_data, subset_data);
+      ExpectSameStats(plain.stats(), subset.stats());
+
+      // Subtree collectives over every node: null mask vs all-ones.
+      for (int id = 0; id < setup.tree.num_nodes(); ++id) {
+        int begin = 0;
+        int end = 0;
+        setup.tree.SubtreeSpan(id, k, &begin, &end);
+        std::vector<float*> plain_span(plain_ptrs.begin() + begin,
+                                       plain_ptrs.begin() + end);
+        std::vector<float*> subset_span(subset_ptrs.begin() + begin,
+                                        subset_ptrs.begin() + end);
+        const std::vector<size_t> span_payloads(payloads.begin() + begin,
+                                                payloads.begin() + end);
+        refill();
+        plain.SubtreeAllReduceAverage(id, plain_span, n,
+                                      TrafficClass::kLocalState);
+        subset.SubtreeAllReduceAverageSubset(id, subset_span, all_ones, n,
+                                             TrafficClass::kLocalState);
+        EXPECT_EQ(plain_data, subset_data);
+        refill();
+        plain.SubtreeAllReduceAverageWithPayloads(
+            id, plain_span, n, span_payloads, TrafficClass::kModelSync);
+        subset.SubtreeAllReduceAverageSubsetWithPayloads(
+            id, subset_span, all_ones, n, span_payloads,
+            TrafficClass::kModelSync);
+        EXPECT_EQ(plain_data, subset_data);
+        ExpectSameStats(plain.stats(), subset.stats());
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------- trainer churn --
 
 SynthImageData SmallMnistLike() {
