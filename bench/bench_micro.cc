@@ -851,7 +851,6 @@ int RunKernelsSweep(const std::string& path) {
     reduce_storage.push_back(RandomVec(n, 83 + k));
     bufs.push_back(reduce_storage.back().data());
   }
-  std::vector<double> weights(reduce_bufs, 1.0 / reduce_bufs);
   const int kc = 256;
   auto apanel = RandomVec(static_cast<size_t>(kc) * simd::kGemmMr, 90);
   auto bpanel = RandomVec(static_cast<size_t>(kc) * simd::kGemmNr, 91);
@@ -892,13 +891,6 @@ int RunKernelsSweep(const std::string& path) {
        [&] {
          simd::Kernels().reduce_scale(bufs.data(), reduce_bufs, n,
                                       1.0 / reduce_bufs, out.data());
-       }},
-      {"weighted_reduce",
-       (static_cast<double>(reduce_bufs) + 1) * fn * sizeof(float),
-       2 * static_cast<double>(reduce_bufs) * fn,
-       [&] {
-         simd::Kernels().weighted_reduce(bufs.data(), weights.data(),
-                                         reduce_bufs, n, out.data());
        }},
       {"gemm_micro_8x32",
        static_cast<double>(kc) * (simd::kGemmMr + simd::kGemmNr) *

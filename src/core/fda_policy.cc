@@ -9,14 +9,16 @@
 namespace fedra {
 namespace {
 
-// Active workers within [begin, end); the span size when no mask is given.
+// Whether worker w takes part in the round; a null mask is all-ones.
+bool IsActive(const std::vector<char>* mask, int w) {
+  return mask == nullptr || (*mask)[static_cast<size_t>(w)] != 0;
+}
+
+// Active workers within [begin, end).
 int ActiveInSpan(const std::vector<char>* mask, int begin, int end) {
-  if (mask == nullptr) {
-    return end - begin;
-  }
   int count = 0;
   for (int w = begin; w < end; ++w) {
-    count += (*mask)[static_cast<size_t>(w)] != 0;
+    count += IsActive(mask, w) ? 1 : 0;
   }
   return count;
 }
@@ -68,41 +70,29 @@ void FdaSyncPolicy::Initialize(ClusterContext& ctx) {
 
 bool FdaSyncPolicy::MaybeSync(ClusterContext& ctx) {
   FEDRA_CHECK_EQ(monitor_->dim(), ctx.dim);
-  std::vector<float*> states = ctx.StatePointers();
-  const float* mean_state = nullptr;
-  int active_count = ctx.num_workers();
-  if (ctx.participation == nullptr) {
-    // (Alg. 1 line 6) every worker updates its local state from its drift;
-    // with a masking codec the state covers the compressed drift only.
-    for (auto& worker : *ctx.workers) {
-      ComputeWorkerState(ctx, monitor_.get(), worker, worker.state);
-    }
-    // (line 7) AllReduce the small states.
-    ctx.network->AllReduceAverage(states, monitor_->StateSize(),
-                                  TrafficClass::kLocalState);
-    mean_state = states[0];
-  } else {
-    // Fault-aware round: only the participants compute and share states.
-    // Absent workers are excluded from the mean entirely — averaging their
-    // stale sketches in would corrupt the AMS aggregation (the estimate
-    // must reflect the fleet that can actually synchronize).
-    const std::vector<int> active = ctx.ActiveWorkers();
-    if (active.empty()) {
-      return false;  // trainer normally skips such rounds already
-    }
-    std::vector<float*> active_states;
-    active_states.reserve(active.size());
-    for (int k : active) {
-      WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
-      ComputeWorkerState(ctx, monitor_.get(), worker, worker.state);
-      active_states.push_back(states[static_cast<size_t>(k)]);
-    }
-    ctx.network->AllReduceAverageSubset(active_states, active,
-                                        monitor_->StateSize(),
-                                        TrafficClass::kLocalState);
-    mean_state = active_states[0];
-    active_count = static_cast<int>(active.size());
+  // (Alg. 1 lines 6-7) every participant updates its local state from its
+  // drift (with a masking codec the state covers the compressed drift
+  // only), then the small states are AllReduced over the participants —
+  // everyone in a fault-free round. Absent workers are excluded from the
+  // mean entirely: averaging their stale sketches in would corrupt the AMS
+  // aggregation (the estimate must reflect the fleet that can actually
+  // synchronize).
+  const std::vector<int> active = ctx.ActiveWorkers();
+  if (active.empty()) {
+    return false;  // trainer normally skips such rounds already
   }
+  std::vector<float*> active_states;
+  active_states.reserve(active.size());
+  for (int k : active) {
+    WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
+    ComputeWorkerState(ctx, monitor_.get(), worker, worker.state);
+    active_states.push_back(worker.state);
+  }
+  ctx.network->AllReduceAverageSubset(active_states, active,
+                                      monitor_->StateSize(),
+                                      TrafficClass::kLocalState);
+  const float* mean_state = active_states[0];
+  const int active_count = static_cast<int>(active.size());
   // (line 8) everyone evaluates H on the averaged state. A fleet run folds
   // the off-cohort population's stored states in (a bitwise no-op when
   // population == cohort).
@@ -165,8 +155,8 @@ bool AsyncFdaPolicy::MaybeSync(ClusterContext& ctx) {
   if (ctx.faults != nullptr) {
     const FaultInjector::Delivery outcome = ctx.faults->SampleDelivery();
     if (outcome.retries > 0) {
-      ctx.network->AccountSyncRetries(
-          stepped, state_size, outcome.retries,
+      ctx.network->AccountSyncRetriesBytes(
+          stepped, state_size * sizeof(float), outcome.retries,
           ctx.faults->config().retry_backoff_seconds,
           TrafficClass::kLocalState);
     }
@@ -180,21 +170,13 @@ bool AsyncFdaPolicy::MaybeSync(ClusterContext& ctx) {
 
   // The coordinator decides on the freshest state of every live worker;
   // crashed workers' last states stay out of the mean.
-  const std::vector<char>* live_mask = ctx.participation;
-  auto is_live = [&](size_t k) {
-    return live_mask == nullptr || (*live_mask)[k] != 0;
-  };
-  int live = 0;
-  for (size_t k = 0; k < ctx.workers->size(); ++k) {
-    live += is_live(k) ? 1 : 0;
-  }
+  const std::vector<int> live_workers = ctx.ActiveWorkers();
+  const int live = static_cast<int>(live_workers.size());
   vec::Fill(mean_state_.data(), state_size, 0.0f);
   const float inv_live = 1.0f / static_cast<float>(live);
-  for (size_t k = 0; k < ctx.workers->size(); ++k) {
-    if (is_live(k)) {
-      vec::Axpy(inv_live, (*ctx.workers)[k].state, mean_state_.data(),
-                state_size);
-    }
+  for (int k : live_workers) {
+    vec::Axpy(inv_live, (*ctx.workers)[static_cast<size_t>(k)].state,
+              mean_state_.data(), state_size);
   }
   // A fleet run folds the off-cohort population's stored states in (a
   // bitwise no-op when population == cohort).
@@ -210,15 +192,11 @@ bool AsyncFdaPolicy::MaybeSync(ClusterContext& ctx) {
   if (!ctx.SynchronizeModels()) {
     return false;
   }
-  if (live_mask != nullptr) {
-    // The coordinator broadcasts the new global model to every live
-    // worker, including those whose contribution was lost.
-    for (size_t k = 0; k < ctx.workers->size(); ++k) {
-      if (is_live(k)) {
-        vec::Copy(ctx.sync_params->data(), (*ctx.workers)[k].view.params,
-                  ctx.dim);
-      }
-    }
+  // The coordinator broadcasts the new global model to every live worker,
+  // including those whose contribution was lost.
+  for (int k : live_workers) {
+    vec::Copy(ctx.sync_params->data(),
+              (*ctx.workers)[static_cast<size_t>(k)].view.params, ctx.dim);
   }
   monitor_->OnSynchronized(ctx.sync_params->data(),
                            ctx.prev_sync_params->data());
@@ -332,11 +310,8 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
   // (1) local states from drifts — identical to flat FDA; the anchor is
   // the last *global* synchronization. A masking codec monitors the
   // compressed drift (see ComputeWorkerState).
-  for (size_t k = 0; k < ctx.workers->size(); ++k) {
-    if (mask != nullptr && (*mask)[k] == 0) {
-      continue;
-    }
-    WorkerState& worker = (*ctx.workers)[k];
+  for (int k : ctx.ActiveWorkers()) {
+    WorkerState& worker = (*ctx.workers)[static_cast<size_t>(k)];
     ComputeWorkerState(ctx, monitor_.get(), worker, worker.state);
   }
 
@@ -354,7 +329,7 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
     span_ptrs_.clear();
     int first_active = -1;
     for (int w = begin; w < begin + size; ++w) {
-      if (mask != nullptr && (*mask)[static_cast<size_t>(w)] == 0) {
+      if (!IsActive(mask, w)) {
         continue;
       }
       if (first_active < 0) {
@@ -365,14 +340,8 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
     if (span_ptrs_.empty()) {
       continue;
     }
-    if (mask == nullptr) {
-      ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, state_size,
-                                           TrafficClass::kLocalState);
-    } else {
-      ctx.network->SubtreeAllReduceAverageSubset(id, span_ptrs_, *mask,
-                                                 state_size,
-                                                 TrafficClass::kLocalState);
-    }
+    ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, state_size,
+                                         TrafficClass::kLocalState, mask);
     auto& node_state = node_state_[static_cast<size_t>(id)];
     node_state.assign(states[static_cast<size_t>(first_active)],
                       states[static_cast<size_t>(first_active)] + state_size);
@@ -421,12 +390,9 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
       // the comparison against the root threshold. Leaf and intermediate
       // tiers stay cohort-local — their subtrees only ever see resident
       // clients. Bitwise no-op when population == cohort.
-      int active_count = num_workers;
-      if (mask != nullptr) {
-        active_count = ActiveInSpan(mask, 0, num_workers);
-      }
       node_estimate_[0] = ctx.store->PopulationEstimate(
-          *monitor_, node_state_[0].data(), active_count);
+          *monitor_, node_state_[0].data(),
+          ActiveInSpan(mask, 0, num_workers));
       node_trip_[0] = node_estimate_[0] > theta_[0] ? 1 : 0;
     }
     last_root_estimate_ = node_estimate_[0];
@@ -460,10 +426,9 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
       tree.SubtreeSpan(id, num_workers, &begin, &end);
       scope_members_.clear();
       for (int w = begin; w < end; ++w) {
-        if (mask != nullptr && (*mask)[static_cast<size_t>(w)] == 0) {
-          continue;
+        if (IsActive(mask, w)) {
+          scope_members_.push_back(w);
         }
-        scope_members_.push_back(w);
       }
       if (scope_members_.size() <= 1) {
         continue;  // a single member is already its own average
@@ -487,15 +452,9 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
               ctx.compressor->CompressInPlace(w, worker.drift, ctx.dim));
           span_ptrs_.push_back(worker.drift);
         }
-        if (mask == nullptr) {
-          ctx.network->SubtreeAllReduceAverageWithPayloads(
-              id, span_ptrs_, ctx.dim, payload_bytes_,
-              TrafficClass::kModelSync);
-        } else {
-          ctx.network->SubtreeAllReduceAverageSubsetWithPayloads(
-              id, span_ptrs_, *mask, ctx.dim, payload_bytes_,
-              TrafficClass::kModelSync);
-        }
+        ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, ctx.dim,
+                                             TrafficClass::kModelSync, mask,
+                                             &payload_bytes_);
         for (int w : scope_members_) {
           float* member_params = params[static_cast<size_t>(w)];
           vec::Copy(ctx.sync_params->data(), member_params, ctx.dim);
@@ -506,13 +465,8 @@ bool HierarchicalFdaPolicy::MaybeSync(ClusterContext& ctx) {
         for (int w : scope_members_) {
           span_ptrs_.push_back(params[static_cast<size_t>(w)]);
         }
-        if (mask == nullptr) {
-          ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, ctx.dim,
-                                               TrafficClass::kModelSync);
-        } else {
-          ctx.network->SubtreeAllReduceAverageSubset(
-              id, span_ptrs_, *mask, ctx.dim, TrafficClass::kModelSync);
-        }
+        ctx.network->SubtreeAllReduceAverage(id, span_ptrs_, ctx.dim,
+                                             TrafficClass::kModelSync, mask);
       }
       ++local_syncs_;
     }

@@ -55,62 +55,19 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
   if (ctx.steps_since_sync < steps_per_round_) {
     return false;
   }
-  if (ctx.participation == nullptr) {
-    // Fault-free round. Client deltas relative to the round-start global
-    // model w_global (held in ctx.sync_params).
-    for (auto& worker : *ctx.workers) {
-      vec::Sub(worker.view.params, ctx.sync_params->data(), worker.drift,
-               ctx.dim);
-    }
-    std::vector<float*> deltas;
-    deltas.reserve(ctx.workers->size());
-    for (auto& worker : *ctx.workers) {
-      deltas.push_back(worker.drift);
-    }
-    if (ctx.compressor != nullptr && ctx.compressor->config().enabled()) {
-      // FedOpt already moves deltas, so the codec pipeline drops straight
-      // in: each client's delta is coded (error feedback accumulates per
-      // worker) and the round bills the compressed wire size.
-      std::vector<int> everyone(ctx.workers->size());
-      std::vector<size_t> payload_bytes(ctx.workers->size());
-      for (size_t k = 0; k < ctx.workers->size(); ++k) {
-        everyone[k] = static_cast<int>(k);
-        payload_bytes[k] = ctx.compressor->CompressInPlace(
-            static_cast<int>(k), deltas[k], ctx.dim);
-      }
-      ctx.network->AllReduceAverageSubsetWithPayloads(
-          deltas, everyone, ctx.dim, payload_bytes,
-          TrafficClass::kModelSync);
-    } else {
-      ctx.network->AllReduceAverage(deltas, ctx.dim,
-                                    TrafficClass::kModelSync);
-    }
-    // Pseudo-gradient is the negated average delta (Reddi et al.).
-    const float* avg_delta = deltas[0];
-    for (size_t i = 0; i < ctx.dim; ++i) {
-      pseudo_grad_[i] = -avg_delta[i];
-    }
-    // Every worker replicates the deterministic server update.
-    *ctx.prev_sync_params = *ctx.sync_params;
-    server_optimizer_->Step(ctx.sync_params->data(), pseudo_grad_.data(),
-                            ctx.dim);
-    for (auto& worker : *ctx.workers) {
-      vec::Copy(ctx.sync_params->data(), worker.view.params, ctx.dim);
-      if (config_.reset_local_optimizer) {
-        worker.optimizer->Reset();
-      }
-    }
-    ctx.steps_since_sync = 0;
-    ++ctx.sync_count;
-    ++rounds_;
-    return true;
-  }
-  // Fault-aware round: survivors compute deltas, each contribution runs
-  // the loss/retry gauntlet, and the server averages whatever arrived.
-  // Workers whose upload was dropped keep training on their local model
-  // — they re-join the global trajectory at the next delivered round.
+  // One path for every round (a fault-free round has every worker
+  // present): participants compute deltas from the round-start global
+  // model w_global (held in ctx.sync_params), each contribution runs the
+  // loss/retry gauntlet under faults, and the server averages whatever
+  // arrived. Workers whose upload was dropped keep training on their local
+  // model — they re-join the global trajectory at the next delivered round.
+  // FedOpt already moves deltas, so a codec drops straight in: each
+  // client's delta is coded (error feedback accumulates per worker) and
+  // the round bills the compressed wire size, retries included.
   const bool compressed =
       ctx.compressor != nullptr && ctx.compressor->config().enabled();
+  const size_t wire =
+      compressed ? ctx.compressor->WireBytes(ctx.dim) : ctx.dim * sizeof(float);
   std::vector<int> delivered;
   std::vector<float*> deltas;
   std::vector<size_t> payload_bytes;
@@ -121,19 +78,10 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
     if (ctx.faults != nullptr) {
       const FaultInjector::Delivery outcome = ctx.faults->SampleDelivery();
       if (outcome.retries > 0) {
-        // Retries re-send what the wire would carry: the compressed
-        // payload when a codec is on, the raw model otherwise.
-        if (compressed) {
-          ctx.network->AccountSyncRetriesBytes(
-              k, ctx.compressor->WireBytes(ctx.dim), outcome.retries,
-              ctx.faults->config().retry_backoff_seconds,
-              TrafficClass::kModelSync);
-        } else {
-          ctx.network->AccountSyncRetries(
-              k, ctx.dim, outcome.retries,
-              ctx.faults->config().retry_backoff_seconds,
-              TrafficClass::kModelSync);
-        }
+        ctx.network->AccountSyncRetriesBytes(
+            k, wire, outcome.retries,
+            ctx.faults->config().retry_backoff_seconds,
+            TrafficClass::kModelSync);
       }
       if (!outcome.delivered) {
         // Dropped uploads never run the codec: the client's error-feedback
@@ -142,10 +90,9 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
         continue;
       }
     }
-    if (compressed) {
-      payload_bytes.push_back(
-          ctx.compressor->CompressInPlace(k, worker.drift, ctx.dim));
-    }
+    payload_bytes.push_back(
+        compressed ? ctx.compressor->CompressInPlace(k, worker.drift, ctx.dim)
+                   : wire);
     delivered.push_back(k);
     deltas.push_back(worker.drift);
   }
@@ -156,13 +103,10 @@ bool FedOptPolicy::MaybeSync(ClusterContext& ctx) {
     ctx.steps_since_sync = 0;
     return false;
   }
-  if (compressed) {
-    ctx.network->AllReduceAverageSubsetWithPayloads(
-        deltas, delivered, ctx.dim, payload_bytes, TrafficClass::kModelSync);
-  } else {
-    ctx.network->AllReduceAverageSubset(deltas, delivered, ctx.dim,
-                                        TrafficClass::kModelSync);
-  }
+  ctx.network->AllReduceAverageSubsetWithPayloads(
+      deltas, delivered, ctx.dim, payload_bytes, TrafficClass::kModelSync);
+  // Pseudo-gradient is the negated average delta (Reddi et al.); every
+  // delivered worker replicates the deterministic server update.
   const float* avg_delta = deltas[0];
   for (size_t i = 0; i < ctx.dim; ++i) {
     pseudo_grad_[i] = -avg_delta[i];

@@ -49,130 +49,29 @@ bool ClusterContext::SynchronizeModels() {
     // (guards_enabled() is constexpr false and the sweep folds away).
     arena->CheckCanaries();
   }
-  if (compressor != nullptr && compressor->config().enabled()) {
-    if (participation == nullptr && faults == nullptr) {
-      // Compressed path: workers exchange lossy deltas from w_t0 instead
-      // of full models; the collective is billed at each worker's actual
-      // wire size (variable-rate codecs produce different sizes per
-      // worker).
-      std::vector<size_t> payload_bytes(workers->size());
-      std::vector<float*> deltas;
-      deltas.reserve(workers->size());
-      for (size_t k = 0; k < workers->size(); ++k) {
-        WorkerState& worker = (*workers)[k];
-        vec::Sub(worker.view.params, sync_params->data(), worker.drift,
-                 dim);
-        payload_bytes[k] = compressor->CompressInPlace(
-            static_cast<int>(k), worker.drift, dim);
-        deltas.push_back(worker.drift);
-      }
-      network->AllReduceAverageWithPayloads(deltas, dim, payload_bytes,
-                                            TrafficClass::kModelSync);
-      // New global = w_t0 + mean decompressed delta; install everywhere.
-      *prev_sync_params = *sync_params;
-      vec::Axpy(1.0f, deltas[0], sync_params->data(), dim);
-      for (auto& worker : *workers) {
-        vec::Copy(sync_params->data(), worker.view.params, dim);
-      }
-      steps_since_sync = 0;
-      ++sync_count;
-      return true;
-    }
-    // Fault-aware compressed path: only the round's participants whose
-    // contribution survives message loss compress and exchange deltas —
-    // retries and the collective are billed at the compressed wire size.
-    // Dropped workers never compress, so their error-feedback residual is
-    // untouched and their local model carries forward, exactly like the
-    // uncompressed subset path.
-    const size_t wire = compressor->WireBytes(dim);
-    std::vector<int> delivered;
-    delivered.reserve(workers->size());
-    for (size_t k = 0; k < workers->size(); ++k) {
-      if (participation != nullptr && (*participation)[k] == 0) {
-        continue;
-      }
-      if (faults != nullptr) {
-        const FaultInjector::Delivery delivery = faults->SampleDelivery();
-        if (delivery.retries > 0) {
-          network->AccountSyncRetriesBytes(
-              static_cast<int>(k), wire, delivery.retries,
-              faults->config().retry_backoff_seconds,
-              TrafficClass::kModelSync);
-        }
-        if (!delivery.delivered) {
-          network->AccountDroppedMessage();
-          continue;
-        }
-      }
-      delivered.push_back(static_cast<int>(k));
-    }
-    if (delivered.empty()) {
-      ++skipped_syncs;
-      FEDRA_LOG(WARNING) << "model sync skipped at step " << step
-                         << ": no contribution survived";
-      return false;
-    }
-    std::vector<size_t> payload_bytes(delivered.size());
-    std::vector<float*> deltas;
-    deltas.reserve(delivered.size());
-    for (size_t i = 0; i < delivered.size(); ++i) {
-      WorkerState& worker = (*workers)[static_cast<size_t>(delivered[i])];
-      vec::Sub(worker.view.params, sync_params->data(), worker.drift, dim);
-      payload_bytes[i] =
-          compressor->CompressInPlace(delivered[i], worker.drift, dim);
-      deltas.push_back(worker.drift);
-    }
-    network->AllReduceAverageSubsetWithPayloads(
-        deltas, delivered, dim, payload_bytes, TrafficClass::kModelSync);
-    // New global = w_t0 + mean decompressed survivor delta, installed into
-    // the survivors; absent and dropped workers keep their local models.
-    *prev_sync_params = *sync_params;
-    vec::Axpy(1.0f, deltas[0], sync_params->data(), dim);
-    for (int k : delivered) {
-      vec::Copy(sync_params->data(),
-                (*workers)[static_cast<size_t>(k)].view.params, dim);
-    }
-    steps_since_sync = 0;
-    ++sync_count;
-    return true;
-  }
-  if (participation == nullptr) {
-    std::vector<float*> params = ParamPointers();
-    network->AllReduceAverage(params, dim, TrafficClass::kModelSync);
-    // Rotate the sync snapshots: w_t-1 <- w_t0, w_t0 <- new average.
-    *prev_sync_params = *sync_params;
-    vec::Copy(params[0], sync_params->data(), dim);
-    steps_since_sync = 0;
-    ++sync_count;
-    return true;
-  }
-  // Fault-aware path: only the round's participants contribute, and every
-  // contribution must additionally survive message loss. Absent and
-  // dropped workers keep their local models and re-converge via later
-  // rounds (or a rejoin catch-up).
+  // One path for every round: a full round is the subset round with every
+  // worker present. Under fault injection each participant's contribution
+  // must also survive message loss — lost contributions are retried at
+  // their wire size, then dropped. Absent and dropped workers keep their
+  // local models and re-converge via later rounds (or a rejoin catch-up).
+  const bool coded = compressor != nullptr && compressor->config().enabled();
+  const size_t wire = coded ? compressor->WireBytes(dim) : dim * sizeof(float);
   std::vector<int> delivered;
-  std::vector<float*> buffers;
   delivered.reserve(workers->size());
-  buffers.reserve(workers->size());
-  for (size_t k = 0; k < workers->size(); ++k) {
-    if ((*participation)[k] == 0) {
-      continue;
-    }
+  for (int k : ActiveWorkers()) {
     if (faults != nullptr) {
       const FaultInjector::Delivery delivery = faults->SampleDelivery();
       if (delivery.retries > 0) {
-        network->AccountSyncRetries(static_cast<int>(k), dim,
-                                    delivery.retries,
-                                    faults->config().retry_backoff_seconds,
-                                    TrafficClass::kModelSync);
+        network->AccountSyncRetriesBytes(
+            k, wire, delivery.retries,
+            faults->config().retry_backoff_seconds, TrafficClass::kModelSync);
       }
       if (!delivery.delivered) {
         network->AccountDroppedMessage();
         continue;
       }
     }
-    delivered.push_back(static_cast<int>(k));
-    buffers.push_back((*workers)[k].view.params);
+    delivered.push_back(k);
   }
   if (delivered.empty()) {
     // Zero-survivor guard: skip the sync entirely; the snapshots stay put
@@ -182,10 +81,37 @@ bool ClusterContext::SynchronizeModels() {
                        << ": no contribution survived";
     return false;
   }
-  network->AllReduceAverageSubset(buffers, delivered, dim,
-                                  TrafficClass::kModelSync);
+  // A codec ships lossy deltas from w_t0 instead of full models, billed at
+  // each worker's actual wire size (variable-rate codecs differ per
+  // worker). Dropped workers never compress, so their error-feedback
+  // residual is untouched.
+  std::vector<float*> buffers(delivered.size());
+  std::vector<size_t> payload_bytes(delivered.size(), wire);
+  for (size_t i = 0; i < delivered.size(); ++i) {
+    WorkerState& worker = (*workers)[static_cast<size_t>(delivered[i])];
+    buffers[i] = worker.view.params;
+    if (coded) {
+      vec::Sub(worker.view.params, sync_params->data(), worker.drift, dim);
+      payload_bytes[i] =
+          compressor->CompressInPlace(delivered[i], worker.drift, dim);
+      buffers[i] = worker.drift;
+    }
+  }
+  network->AllReduceAverageSubsetWithPayloads(
+      buffers, delivered, dim, payload_bytes, TrafficClass::kModelSync);
+  // Rotate the sync snapshots: w_t-1 <- w_t0, w_t0 <- new average.
   *prev_sync_params = *sync_params;
-  vec::Copy(buffers[0], sync_params->data(), dim);
+  if (coded) {
+    // New global = w_t0 + mean decompressed delta, installed into the
+    // contributors.
+    vec::Axpy(1.0f, buffers[0], sync_params->data(), dim);
+    for (int k : delivered) {
+      vec::Copy(sync_params->data(),
+                (*workers)[static_cast<size_t>(k)].view.params, dim);
+    }
+  } else {
+    vec::Copy(buffers[0], sync_params->data(), dim);
+  }
   steps_since_sync = 0;
   ++sync_count;
   return true;

@@ -23,11 +23,10 @@ constexpr size_t kReduceChunk = 1 << 15;
 // old serial path made 4x the memory passes via its n-double scratch).
 constexpr size_t kInstallBlock = 4096;
 
-// Reduces [begin, end) of all k buffers with `combine` into a stack tile
-// and installs the tile into every buffer's span.
-template <typename Combine>
+// Reduces [begin, end) of all k buffers into a stack tile (their sum
+// times `scale`) and installs the tile into every buffer's span.
 void ReduceInstallChunk(const std::vector<float*>& buffers, size_t begin,
-                        size_t end, const Combine& combine) {
+                        size_t end, double scale) {
   const size_t k = buffers.size();
   std::vector<const float*> srcs(k);
   float tile[kInstallBlock];
@@ -36,7 +35,7 @@ void ReduceInstallChunk(const std::vector<float*>& buffers, size_t begin,
     for (size_t kk = 0; kk < k; ++kk) {
       srcs[kk] = buffers[kk] + base;
     }
-    combine(srcs.data(), k, len, tile);
+    vec::ReduceScale(srcs.data(), k, len, scale, tile);
     for (size_t kk = 0; kk < k; ++kk) {
       vec::Copy(tile, buffers[kk] + base, len);
     }
@@ -53,11 +52,7 @@ void ReduceMeanBuffers(const std::vector<float*>& buffers, size_t n) {
   const double inv_k = 1.0 / static_cast<double>(k);
   GlobalThreadPool().ParallelForRange(
       n, kReduceChunk, [&](size_t begin, size_t end) {
-        ReduceInstallChunk(buffers, begin, end,
-                           [inv_k](const float* const* srcs, size_t kk,
-                                   size_t len, float* tile) {
-                             vec::ReduceScale(srcs, kk, len, inv_k, tile);
-                           });
+        ReduceInstallChunk(buffers, begin, end, inv_k);
       });
 }
 
@@ -142,90 +137,6 @@ void SimNetwork::ChargeTree(const TreeCost& cost, TrafficClass traffic) {
   }
 }
 
-void SimNetwork::AccountAllReduce(size_t payload_bytes_sum,
-                                  TrafficClass traffic) {
-  ++stats_.allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.model_sync_count;
-  }
-  if (num_workers_ == 1) {
-    return;  // nothing transits any link
-  }
-  // Mean wire size in double: variable-size compressed payloads are billed
-  // from their exact sum, never a truncated per-worker quotient.
-  const double per_worker = static_cast<double>(payload_bytes_sum) /
-                            static_cast<double>(num_workers_);
-  ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_, algorithm_,
-                                        LinkFactorsOrNull()),
-             traffic);
-}
-
-void SimNetwork::ReduceMeanIntoAll(const std::vector<float*>& buffers,
-                                   size_t n) {
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(num_workers_));
-  ReduceMeanBuffers(buffers, n);
-}
-
-void SimNetwork::AllReduceAverage(const std::vector<float*>& buffers,
-                                  size_t n, TrafficClass traffic) {
-  AllReduceAverageWithPayload(buffers, n, n * sizeof(float), traffic);
-}
-
-void SimNetwork::AllReduceAverageWithPayload(
-    const std::vector<float*>& buffers, size_t n, size_t payload_bytes,
-    TrafficClass traffic) {
-  ReduceMeanIntoAll(buffers, n);
-  AccountAllReduce(payload_bytes * static_cast<size_t>(num_workers_),
-                   traffic);
-}
-
-void SimNetwork::AllReduceAverageWithPayloads(
-    const std::vector<float*>& buffers, size_t n,
-    const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
-  size_t sum = 0;
-  for (size_t bytes : payload_bytes) {
-    sum += bytes;
-  }
-  ReduceMeanIntoAll(buffers, n);
-  AccountAllReduce(sum, traffic);
-}
-
-void SimNetwork::WeightedReduceInstall(const std::vector<float*>& buffers,
-                                       const std::vector<double>& weights,
-                                       size_t n) {
-  double weight_sum = 0.0;
-  for (double w : weights) {
-    FEDRA_CHECK_GE(w, 0.0);
-    weight_sum += w;
-  }
-  FEDRA_CHECK_GT(weight_sum, 0.0);
-  const size_t k = buffers.size();
-  weight_scratch_.resize(k);
-  for (size_t kk = 0; kk < k; ++kk) {
-    weight_scratch_[kk] = weights[kk] / weight_sum;
-  }
-  const double* normalized = weight_scratch_.data();
-  GlobalThreadPool().ParallelForRange(
-      n, kReduceChunk, [&](size_t begin, size_t end) {
-        ReduceInstallChunk(buffers, begin, end,
-                           [normalized](const float* const* srcs, size_t kk,
-                                        size_t len, float* tile) {
-                             vec::WeightedReduce(srcs, normalized, kk, len,
-                                                 tile);
-                           });
-      });
-}
-
-void SimNetwork::AllReduceWeightedAverage(const std::vector<float*>& buffers,
-                                          const std::vector<double>& weights,
-                                          size_t n, TrafficClass traffic) {
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(num_workers_));
-  FEDRA_CHECK_EQ(weights.size(), buffers.size());
-  WeightedReduceInstall(buffers, weights, n);
-  AccountAllReduce(n * sizeof(float) * buffers.size(), traffic);
-}
-
 void SimNetwork::CheckParticipants(const std::vector<int>& participants,
                                    size_t num_buffers) const {
   FEDRA_CHECK_EQ(participants.size(), num_buffers)
@@ -238,64 +149,74 @@ void SimNetwork::CheckParticipants(const std::vector<int>& participants,
   }
 }
 
-void SimNetwork::AccountAllReduceSubset(size_t payload_bytes_sum,
-                                        const std::vector<int>& participants,
-                                        TrafficClass traffic) {
+void SimNetwork::AccountAllReduce(size_t payload_bytes_sum, size_t members,
+                                  const std::vector<char>* active,
+                                  TrafficClass traffic) {
   ++stats_.allreduce_calls;
   if (traffic == TrafficClass::kModelSync) {
     ++stats_.model_sync_count;
   }
-  const size_t m = participants.size();
-  if (m <= 1) {
+  if (members <= 1) {
     return;  // nothing transits any link
   }
+  // Mean wire size in double: variable-size compressed payloads are billed
+  // from their exact sum, never a truncated per-worker quotient.
   const double per_worker =
-      static_cast<double>(payload_bytes_sum) / static_cast<double>(m);
-  active_scratch_.assign(static_cast<size_t>(num_workers_), 0);
-  for (int worker : participants) {
-    active_scratch_[static_cast<size_t>(worker)] = 1;
-  }
+      static_cast<double>(payload_bytes_sum) / static_cast<double>(members);
   ChargeTree(tree_.GroupedAllReduceCost(per_worker, num_workers_, algorithm_,
-                                        LinkFactorsOrNull(), &active_scratch_),
+                                        LinkFactorsOrNull(), active),
              traffic);
+}
+
+void SimNetwork::AllReduceMean(const std::vector<float*>& buffers,
+                               const std::vector<int>* participants, size_t n,
+                               const std::vector<size_t>* payload_bytes,
+                               TrafficClass traffic) {
+  const std::vector<char>* active = nullptr;
+  if (participants == nullptr) {
+    FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(num_workers_));
+  } else {
+    CheckParticipants(*participants, buffers.size());
+    active_scratch_.assign(static_cast<size_t>(num_workers_), 0);
+    for (int worker : *participants) {
+      active_scratch_[static_cast<size_t>(worker)] = 1;
+    }
+    active = &active_scratch_;
+  }
+  size_t sum = n * sizeof(float) * buffers.size();
+  if (payload_bytes != nullptr) {
+    FEDRA_CHECK_EQ(payload_bytes->size(), buffers.size());
+    sum = 0;
+    for (size_t bytes : *payload_bytes) {
+      sum += bytes;
+    }
+  }
+  ReduceMeanBuffers(buffers, n);
+  AccountAllReduce(sum, buffers.size(), active, traffic);
+}
+
+void SimNetwork::AllReduceAverage(const std::vector<float*>& buffers,
+                                  size_t n, TrafficClass traffic) {
+  AllReduceMean(buffers, nullptr, n, nullptr, traffic);
+}
+
+void SimNetwork::AllReduceAverageWithPayloads(
+    const std::vector<float*>& buffers, size_t n,
+    const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
+  AllReduceMean(buffers, nullptr, n, &payload_bytes, traffic);
 }
 
 void SimNetwork::AllReduceAverageSubset(const std::vector<float*>& buffers,
                                         const std::vector<int>& participants,
                                         size_t n, TrafficClass traffic) {
-  CheckParticipants(participants, buffers.size());
-  ReduceMeanBuffers(buffers, n);
-  AccountAllReduceSubset(n * sizeof(float) * participants.size(),
-                         participants, traffic);
+  AllReduceMean(buffers, &participants, n, nullptr, traffic);
 }
 
 void SimNetwork::AllReduceAverageSubsetWithPayloads(
     const std::vector<float*>& buffers, const std::vector<int>& participants,
     size_t n, const std::vector<size_t>& payload_bytes,
     TrafficClass traffic) {
-  CheckParticipants(participants, buffers.size());
-  FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
-  size_t sum = 0;
-  for (size_t bytes : payload_bytes) {
-    sum += bytes;
-  }
-  ReduceMeanBuffers(buffers, n);
-  AccountAllReduceSubset(sum, participants, traffic);
-}
-
-void SimNetwork::AllReduceWeightedAverageSubset(
-    const std::vector<float*>& buffers, const std::vector<int>& participants,
-    const std::vector<double>& weights, size_t n, TrafficClass traffic) {
-  CheckParticipants(participants, buffers.size());
-  FEDRA_CHECK_EQ(weights.size(), buffers.size());
-  if (buffers.size() == 1) {
-    // Degenerate mean: the lone participant keeps its span.
-    AccountAllReduceSubset(n * sizeof(float), participants, traffic);
-    return;
-  }
-  WeightedReduceInstall(buffers, weights, n);
-  AccountAllReduceSubset(n * sizeof(float) * participants.size(),
-                         participants, traffic);
+  AllReduceMean(buffers, &participants, n, &payload_bytes, traffic);
 }
 
 void SimNetwork::Broadcast(const std::vector<float*>& buffers, size_t n,
@@ -333,121 +254,46 @@ void SimNetwork::PointToPoint(size_t n, TrafficClass traffic, int worker) {
              traffic);
 }
 
-void SimNetwork::SubtreeAllReduceAverage(int node_id,
-                                         const std::vector<float*>& buffers,
-                                         size_t n, TrafficClass traffic) {
-  int begin = 0;
-  int end = 0;
-  tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(end - begin))
-      << "buffers must cover the subtree's workers";
-  ReduceMeanBuffers(buffers, n);
-  ++stats_.subtree_allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.subtree_sync_count;
-  }
-  if (buffers.size() <= 1) {
-    return;  // single member: nothing transits any link
-  }
-  ChargeTree(tree_.SubtreeSyncCost(node_id, n * sizeof(float), num_workers_,
-                                   LinkFactorsOrNull()),
-             traffic);
-}
-
-void SimNetwork::SubtreeAllReduceAverageSubset(
-    int node_id, const std::vector<float*>& buffers,
-    const std::vector<char>& active, size_t n, TrafficClass traffic) {
-  FEDRA_CHECK_EQ(active.size(), static_cast<size_t>(num_workers_));
-  int begin = 0;
-  int end = 0;
-  tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  size_t members = 0;
-  for (int w = begin; w < end; ++w) {
-    members += active[static_cast<size_t>(w)] != 0;
-  }
-  FEDRA_CHECK_EQ(buffers.size(), members)
-      << "buffers must cover the subtree's active workers";
-  ReduceMeanBuffers(buffers, n);
-  ++stats_.subtree_allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.subtree_sync_count;
-  }
-  if (members <= 1) {
-    return;  // single active member: nothing transits any link
-  }
-  ChargeTree(tree_.SubtreeSyncCost(node_id, n * sizeof(float), num_workers_,
-                                   LinkFactorsOrNull(), &active),
-             traffic);
-}
-
-void SimNetwork::SubtreeAllReduceAverageWithPayloads(
+void SimNetwork::SubtreeAllReduceAverage(
     int node_id, const std::vector<float*>& buffers, size_t n,
-    const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
+    TrafficClass traffic, const std::vector<char>* active,
+    const std::vector<size_t>* payload_bytes) {
   int begin = 0;
   int end = 0;
   tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  FEDRA_CHECK_EQ(buffers.size(), static_cast<size_t>(end - begin))
-      << "buffers must cover the subtree's workers";
-  ReduceMeanBuffers(buffers, n);
-  ++stats_.subtree_allreduce_calls;
-  if (traffic == TrafficClass::kModelSync) {
-    ++stats_.subtree_sync_count;
-  }
-  if (buffers.size() <= 1) {
-    return;  // single member: nothing transits any link
-  }
-  size_t sum = 0;
-  for (size_t bytes : payload_bytes) {
-    sum += bytes;
-  }
-  // Mean wire size in double, as the global payload collectives bill it.
-  const double per_member =
-      static_cast<double>(sum) / static_cast<double>(buffers.size());
-  ChargeTree(tree_.SubtreeSyncCost(node_id, per_member, num_workers_,
-                                   LinkFactorsOrNull()),
-             traffic);
-}
-
-void SimNetwork::SubtreeAllReduceAverageSubsetWithPayloads(
-    int node_id, const std::vector<float*>& buffers,
-    const std::vector<char>& active, size_t n,
-    const std::vector<size_t>& payload_bytes, TrafficClass traffic) {
-  FEDRA_CHECK_EQ(active.size(), static_cast<size_t>(num_workers_));
-  FEDRA_CHECK_EQ(payload_bytes.size(), buffers.size());
-  int begin = 0;
-  int end = 0;
-  tree_.SubtreeSpan(node_id, num_workers_, &begin, &end);
-  size_t members = 0;
-  for (int w = begin; w < end; ++w) {
-    members += active[static_cast<size_t>(w)] != 0;
+  size_t members = static_cast<size_t>(end - begin);
+  if (active != nullptr) {
+    FEDRA_CHECK_EQ(active->size(), static_cast<size_t>(num_workers_));
+    members = 0;
+    for (int w = begin; w < end; ++w) {
+      members += (*active)[static_cast<size_t>(w)] != 0;
+    }
   }
   FEDRA_CHECK_EQ(buffers.size(), members)
       << "buffers must cover the subtree's active workers";
+  if (payload_bytes != nullptr) {
+    FEDRA_CHECK_EQ(payload_bytes->size(), buffers.size());
+  }
   ReduceMeanBuffers(buffers, n);
   ++stats_.subtree_allreduce_calls;
   if (traffic == TrafficClass::kModelSync) {
     ++stats_.subtree_sync_count;
   }
   if (members <= 1) {
-    return;  // single active member: nothing transits any link
+    return;  // single (active) member: nothing transits any link
   }
-  size_t sum = 0;
-  for (size_t bytes : payload_bytes) {
-    sum += bytes;
+  double per_member = static_cast<double>(n * sizeof(float));
+  if (payload_bytes != nullptr) {
+    size_t sum = 0;
+    for (size_t bytes : *payload_bytes) {
+      sum += bytes;
+    }
+    // Mean wire size in double, as the global payload collectives bill it.
+    per_member = static_cast<double>(sum) / static_cast<double>(members);
   }
-  const double per_member =
-      static_cast<double>(sum) / static_cast<double>(members);
   ChargeTree(tree_.SubtreeSyncCost(node_id, per_member, num_workers_,
-                                   LinkFactorsOrNull(), &active),
+                                   LinkFactorsOrNull(), active),
              traffic);
-}
-
-void SimNetwork::AccountSyncRetries(int worker, size_t n, int retries,
-                                    double backoff_base_seconds,
-                                    TrafficClass traffic) {
-  AccountSyncRetriesBytes(worker, n * sizeof(float), retries,
-                          backoff_base_seconds, traffic);
 }
 
 void SimNetwork::AccountSyncRetriesBytes(int worker, size_t payload_bytes,

@@ -5,6 +5,15 @@
 // accounting) — collectives are supposed to be numerically transparent, and
 // tests assert this.
 //
+// One synchronization path: a full round is the subset round with every
+// worker present. The four global AllReduce entry points (unmasked or over
+// a participant list, billed at n floats or at per-contributor wire sizes)
+// are thin names over one body, and a full participant list is
+// bit-identical to the unmasked call. Likewise the one cluster-scoped
+// SubtreeAllReduceAverage takes an optional participation mask (null ==
+// all-ones) and optional wire sizes, and AccountSyncRetriesBytes bills a
+// lost contribution's retries at whatever size it had on the wire.
+//
 // The arithmetic runs on a parallel reduction engine: model-sized spans are
 // split into fixed GlobalThreadPool chunks and each chunk runs the fused
 // vec::ReduceScale tree-reduce (double accumulators, fixed combine order).
@@ -68,87 +77,47 @@ class SimNetwork {
     return worker_link_factors_;
   }
 
-  /// In-place AllReduce-average: each buffers[k] (length n) is replaced by
-  /// the elementwise mean over workers. Accounts bytes to `traffic`.
+  // ------------------------------------------------------ AllReduce --
+  // One body serves every global AllReduce: the mean over the
+  // contributing buffers installs into each of them, and the call is
+  // billed once under the tree's grouped schedule. The four entry points
+  // only name which contributors and wire sizes apply:
+  //  - the unmasked forms take one buffer per worker (buffers[k] is worker
+  //    k's span of n floats);
+  //  - the Subset forms take ascending, unique worker ids; buffers[i] is
+  //    participants[i]'s span. Absent workers transmit and receive nothing
+  //    and keep their state; phases pace on the slowest *participating*
+  //    link and empty groups drop out of every phase. A full participant
+  //    list is bit-identical to the unmasked form (values, bytes, seconds,
+  //    breakdowns, counters);
+  //  - the WithPayloads forms bill contributor i at payload_bytes[i] (a
+  //    variable-rate codec's wire size) instead of n * sizeof(float), so
+  //    the collective costs the exact sum of wire bytes. The arithmetic
+  //    still averages the n decompressed floats.
+
   void AllReduceAverage(const std::vector<float*>& buffers, size_t n,
                         TrafficClass traffic);
-
-  /// As AllReduceAverage, but billed at `payload_bytes` per worker instead
-  /// of n * sizeof(float) — the path compressed synchronization takes (the
-  /// arithmetic still averages the n decompressed floats).
-  void AllReduceAverageWithPayload(const std::vector<float*>& buffers,
-                                   size_t n, size_t payload_bytes,
-                                   TrafficClass traffic);
-
-  /// Per-worker wire sizes (variable-rate codecs): worker k's payload is
-  /// billed at payload_bytes[k], so the collective costs the actual sum of
-  /// wire bytes rather than any single worker's size.
   void AllReduceAverageWithPayloads(const std::vector<float*>& buffers,
                                     size_t n,
                                     const std::vector<size_t>& payload_bytes,
                                     TrafficClass traffic);
-
-  /// Weighted variant: mean with per-worker weights (used by FedAvg when
-  /// shards are unequal). Weights must sum to a positive value.
-  void AllReduceWeightedAverage(const std::vector<float*>& buffers,
-                                const std::vector<double>& weights, size_t n,
-                                TrafficClass traffic);
-
-  // ------------------------------------------- partial participation --
-  // Fault-layer collectives: only the round's survivors exchange data.
-  // `participants` are ascending, unique worker ids; buffers[i] is
-  // participants[i]'s span. The mean over the participants installs into
-  // their buffers only — absent workers transmit and receive nothing and
-  // keep their state. Cost is billed for the participant count: phases
-  // pace on the slowest *participating* link and empty groups drop out of
-  // every phase. A full participant list is bit-identical to the unmasked
-  // collective.
-
-  /// Partial-participation AllReduceAverage.
   void AllReduceAverageSubset(const std::vector<float*>& buffers,
                               const std::vector<int>& participants, size_t n,
                               TrafficClass traffic);
-
-  /// Partial-participation AllReduce billed at per-worker wire sizes:
-  /// payload_bytes[i] is participants[i]'s compressed payload (the path
-  /// compressed synchronization takes under faults or fleet rotation). The
-  /// arithmetic is identical to AllReduceAverageSubset.
   void AllReduceAverageSubsetWithPayloads(
       const std::vector<float*>& buffers,
       const std::vector<int>& participants, size_t n,
       const std::vector<size_t>& payload_bytes, TrafficClass traffic);
 
-  /// Partial-participation weighted mean; weights[i] belongs to
-  /// participants[i] and must sum to a positive value.
-  void AllReduceWeightedAverageSubset(const std::vector<float*>& buffers,
-                                      const std::vector<int>& participants,
-                                      const std::vector<double>& weights,
-                                      size_t n, TrafficClass traffic);
-
-  /// Partial-participation SubtreeAllReduceAverage: `active` is the
-  /// full-length per-worker mask and `buffers` are the spans of the
-  /// subtree's *active* members in worker order (size must equal the
-  /// active count within the subtree's span).
-  void SubtreeAllReduceAverageSubset(int node_id,
-                                     const std::vector<float*>& buffers,
-                                     const std::vector<char>& active,
-                                     size_t n, TrafficClass traffic);
-
-  /// Bills `retries` retransmissions of one lost n-float sync contribution
-  /// from `worker`: retry i waits backoff_base_seconds * 2^i and resends
-  /// the payload over the worker's own path (its link factor; one hop per
-  /// tier). The backoff stalls the worker's leaf-tier link and is billed
-  /// there as backoff + latency + bytes / bandwidth, the single-tier
-  /// closed form. Every second and byte lands in the normal class and
-  /// depth breakdowns and is additionally accumulated in
-  /// CommStats::seconds_retry / retries.
-  void AccountSyncRetries(int worker, size_t n, int retries,
-                          double backoff_base_seconds, TrafficClass traffic);
-
-  /// As AccountSyncRetries, but the retransmitted contribution is
-  /// `payload_bytes` on the wire — a compressed sync payload is also
-  /// retried at its compressed size. AccountSyncRetries(n) is exactly
-  /// AccountSyncRetriesBytes(n * sizeof(float)).
+  /// Bills `retries` retransmissions of one lost sync contribution of
+  /// `payload_bytes` on the wire (n * sizeof(float) raw, the compressed
+  /// size under a codec) from `worker`: retry i waits
+  /// backoff_base_seconds * 2^i and resends the payload over the worker's
+  /// own path (its link factor; one hop per tier). The backoff stalls the
+  /// worker's leaf-tier link and is billed there as backoff + latency +
+  /// bytes / bandwidth, the single-tier closed form. Every second and byte
+  /// lands in the normal class and depth breakdowns and is additionally
+  /// accumulated in CommStats::seconds_retry / retries.
   void AccountSyncRetriesBytes(int worker, size_t payload_bytes, int retries,
                                double backoff_base_seconds,
                                TrafficClass traffic);
@@ -183,32 +152,20 @@ class SimNetwork {
   void PointToPoint(size_t n, TrafficClass traffic, int worker = -1);
 
   /// Cluster-scoped AllReduce-average confined to node `node_id`'s subtree
-  /// of the topology tree: `buffers` are the subtree members' spans in
-  /// worker order (size must equal the subtree's worker count). The mean
-  /// installs into every member; cost is billed as gather + broadcast
-  /// along the subtree's own tiers only — tiers above `node_id` carry
-  /// nothing (the hierarchical scheduler's cheap local averaging). Counts
-  /// as a subtree_allreduce_calls entry, and as subtree_sync_count (never
-  /// model_sync_count) when `traffic` is kModelSync.
-  void SubtreeAllReduceAverage(int node_id,
-                               const std::vector<float*>& buffers, size_t n,
-                               TrafficClass traffic);
-
-  /// SubtreeAllReduceAverage billed at per-member wire sizes:
-  /// payload_bytes[i] is buffers[i]'s compressed payload (the subtree's
-  /// members in worker order) — the hierarchical scheduler's compressed
-  /// cluster-local model averaging.
-  void SubtreeAllReduceAverageWithPayloads(
+  /// of the topology tree. `buffers` are the spans of the subtree's
+  /// members in worker order — of its *active* members when `active` (a
+  /// full-length per-worker mask) is given; a null mask is bit-identical
+  /// to all-ones. The mean installs into every buffer; cost is billed as
+  /// gather + broadcast along the subtree's own tiers only — tiers above
+  /// `node_id` carry nothing (the hierarchical scheduler's cheap local
+  /// averaging). `payload_bytes` (optional, one per buffer) bills each
+  /// member at its compressed wire size instead of n * sizeof(float).
+  /// Counts as a subtree_allreduce_calls entry, and as subtree_sync_count
+  /// (never model_sync_count) when `traffic` is kModelSync.
+  void SubtreeAllReduceAverage(
       int node_id, const std::vector<float*>& buffers, size_t n,
-      const std::vector<size_t>& payload_bytes, TrafficClass traffic);
-
-  /// Partial-participation SubtreeAllReduceAverageWithPayloads:
-  /// payload_bytes[i] belongs to the i-th *active* member (the order of
-  /// `buffers`).
-  void SubtreeAllReduceAverageSubsetWithPayloads(
-      int node_id, const std::vector<float*>& buffers,
-      const std::vector<char>& active, size_t n,
-      const std::vector<size_t>& payload_bytes, TrafficClass traffic);
+      TrafficClass traffic, const std::vector<char>* active = nullptr,
+      const std::vector<size_t>* payload_bytes = nullptr);
 
   /// Bills an escalation state exchange at internal node `node_id`: its
   /// child representatives gather `n` floats to the node's representative
@@ -229,20 +186,19 @@ class SimNetwork {
   void ResetStats() { stats_.Clear(); }
 
  private:
-  // The arithmetic: mean over workers into every buffer, chunk-parallel.
-  void ReduceMeanIntoAll(const std::vector<float*>& buffers, size_t n);
-  // Cost accounting for one AllReduce whose workers transmit
-  // `payload_bytes_sum` bytes in total (== K * per-worker payload when
-  // uniform).
-  void AccountAllReduce(size_t payload_bytes_sum, TrafficClass traffic);
-  // Subset counterpart: bills an AllReduce among `participants` only.
-  void AccountAllReduceSubset(size_t payload_bytes_sum,
-                              const std::vector<int>& participants,
-                              TrafficClass traffic);
-  // The weighted-mean arithmetic shared by the full and subset weighted
-  // collectives (normalizes into weight_scratch_, installs into buffers).
-  void WeightedReduceInstall(const std::vector<float*>& buffers,
-                             const std::vector<double>& weights, size_t n);
+  // The one AllReduce body: mean over `buffers` installed into each, then
+  // one billed call. Null `participants` means one buffer per worker; null
+  // `payload_bytes` bills n * sizeof(float) per contributor.
+  void AllReduceMean(const std::vector<float*>& buffers,
+                     const std::vector<int>* participants, size_t n,
+                     const std::vector<size_t>* payload_bytes,
+                     TrafficClass traffic);
+  // Cost accounting for one AllReduce whose `members` contributors
+  // transmit `payload_bytes_sum` bytes in total; `active` (optional
+  // per-worker mask) confines it to the participants.
+  void AccountAllReduce(size_t payload_bytes_sum, size_t members,
+                        const std::vector<char>* active,
+                        TrafficClass traffic);
   // Validates a subset participant list (ascending, unique, in range).
   void CheckParticipants(const std::vector<int>& participants,
                          size_t num_buffers) const;
@@ -260,7 +216,6 @@ class SimNetwork {
   TopologyTree tree_;
   AllReduceAlgorithm algorithm_;
   CommStats stats_;
-  std::vector<double> weight_scratch_;  // normalized weights per call
   std::vector<double> worker_link_factors_;  // empty => homogeneous links
   std::vector<char> active_scratch_;  // participant mask per subset call
 };

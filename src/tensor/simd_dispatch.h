@@ -68,8 +68,6 @@ struct KernelTable {
   double (*axpy_norm)(float alpha, const float* x, float* y, size_t n);
   void (*reduce_scale)(const float* const* bufs, size_t num_bufs, size_t n,
                        double scale, float* out);
-  void (*weighted_reduce)(const float* const* bufs, const double* weights,
-                          size_t num_bufs, size_t n, float* out);
   void (*gemm_micro_8x32)(int kc, const float* apanel, const float* bpanel,
                           float* acc);
 };

@@ -140,34 +140,6 @@ TEST(ReductionEngineTest, BitDeterministicAcrossRuns) {
   }
 }
 
-TEST(ReductionEngineTest, WeightedAverageMatchesOracle) {
-  const int workers = 5;
-  const size_t n = (size_t{1} << 16) + 13;
-  auto original = RandomBuffers(workers, n, 123);
-  std::vector<double> weights = {1.0, 2.0, 0.5, 3.0, 1.5};
-  double sum = 0.0;
-  for (double w : weights) {
-    sum += w;
-  }
-  std::vector<double> normalized = weights;
-  for (auto& w : normalized) {
-    w /= sum;
-  }
-  std::vector<float> expected(n);
-  ref::WeightedReduce(ConstPointers(original).data(), normalized.data(),
-                      static_cast<size_t>(workers), n, expected.data());
-  auto buffers = original;
-  auto pointers = Pointers(buffers);
-  SimNetwork network(workers, TestModel(), AllReduceAlgorithm::kFlat);
-  network.AllReduceWeightedAverage(pointers, weights, n,
-                                   TrafficClass::kModelSync);
-  for (int k = 0; k < workers; ++k) {
-    for (size_t i = 0; i < n; ++i) {
-      ASSERT_NEAR(buffers[static_cast<size_t>(k)][i], expected[i], 1e-5);
-    }
-  }
-}
-
 TEST(ReductionEngineTest, ReduceMeanIntoMatchesOracle) {
   // The trainers' eval-model averaging helper (no accounting).
   const size_t n = (size_t{1} << 16) + 9;

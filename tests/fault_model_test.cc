@@ -305,45 +305,6 @@ TEST(FaultCollectivesTest, SubsetAverageMatchesSmallerFleet) {
             small_net.stats().model_sync_count);
 }
 
-TEST(FaultCollectivesTest, WeightedSubsetMatchesSerialOracle) {
-  const size_t n = 33;
-  const std::vector<int> participants = {1, 2, 4};
-  const std::vector<double> weights = {1.0, 2.0, 4.0};
-  std::vector<std::vector<float>> buffers(5, std::vector<float>(n));
-  Rng rng(8);
-  for (auto& buffer : buffers) {
-    for (auto& x : buffer) {
-      x = rng.NextUniform(-2.0f, 2.0f);
-    }
-  }
-  std::vector<double> oracle(n, 0.0);
-  for (size_t i = 0; i < participants.size(); ++i) {
-    for (size_t j = 0; j < n; ++j) {
-      oracle[j] +=
-          weights[i] *
-          buffers[static_cast<size_t>(participants[i])][j];
-    }
-  }
-  for (auto& x : oracle) {
-    x /= 7.0;  // total weight
-  }
-
-  SimNetwork network(5, NetworkModel::Hpc(), AllReduceAlgorithm::kFlat);
-  std::vector<float*> ptrs;
-  for (int k : participants) {
-    ptrs.push_back(buffers[static_cast<size_t>(k)].data());
-  }
-  network.AllReduceWeightedAverageSubset(ptrs, participants, weights, n,
-                                         TrafficClass::kModelSync);
-  for (size_t j = 0; j < n; ++j) {
-    for (int k : participants) {
-      EXPECT_NEAR(buffers[static_cast<size_t>(k)][j], oracle[j], 1e-6);
-    }
-  }
-  // Worker 0 and 3 never participated.
-  EXPECT_EQ(buffers[0][0], buffers[0][0]);
-}
-
 TEST(FaultCollectivesTest, SubtreeSubsetSingleSurvivorIsFree) {
   TopologyTree tree = TopologyTree::EdgeCloud(2);
   SimNetwork network(4, std::move(tree), AllReduceAlgorithm::kFlat);
@@ -351,9 +312,8 @@ TEST(FaultCollectivesTest, SubtreeSubsetSingleSurvivorIsFree) {
   std::vector<float> buffer(n, 2.0f);
   std::vector<char> active = {1, 0, 1, 1};  // worker 1 absent
   const int group0_node = network.tree().NodeOfLeafGroup(0);
-  network.SubtreeAllReduceAverageSubset(group0_node, {buffer.data()},
-                                        active, n,
-                                        TrafficClass::kModelSync);
+  network.SubtreeAllReduceAverage(group0_node, {buffer.data()}, n,
+                                  TrafficClass::kModelSync, &active);
   // A single surviving member is its own average: no wire traffic at all.
   EXPECT_EQ(network.stats().bytes_total, 0u);
   EXPECT_DOUBLE_EQ(network.stats().comm_seconds, 0.0);
@@ -465,15 +425,16 @@ TEST(FaultCollectivesTest, FullParticipantListMatchesUnmaskedCollective) {
         refill();
         plain.SubtreeAllReduceAverage(id, plain_span, n,
                                       TrafficClass::kLocalState);
-        subset.SubtreeAllReduceAverageSubset(id, subset_span, all_ones, n,
-                                             TrafficClass::kLocalState);
+        subset.SubtreeAllReduceAverage(id, subset_span, n,
+                                       TrafficClass::kLocalState, &all_ones);
         EXPECT_EQ(plain_data, subset_data);
         refill();
-        plain.SubtreeAllReduceAverageWithPayloads(
-            id, plain_span, n, span_payloads, TrafficClass::kModelSync);
-        subset.SubtreeAllReduceAverageSubsetWithPayloads(
-            id, subset_span, all_ones, n, span_payloads,
-            TrafficClass::kModelSync);
+        plain.SubtreeAllReduceAverage(id, plain_span, n,
+                                      TrafficClass::kModelSync, nullptr,
+                                      &span_payloads);
+        subset.SubtreeAllReduceAverage(id, subset_span, n,
+                                       TrafficClass::kModelSync, &all_ones,
+                                       &span_payloads);
         EXPECT_EQ(plain_data, subset_data);
         ExpectSameStats(plain.stats(), subset.stats());
       }

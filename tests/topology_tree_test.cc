@@ -637,7 +637,6 @@ TEST(TopologyTreeTest, SingleTierEntryPointsMatchClosedFormsExactly) {
       bytes = 1 + rng.NextBounded(payload);
     }
     std::vector<size_t> subset_wire;
-    std::vector<double> subset_weights;
     size_t wire_sum = 0;
     size_t subset_wire_sum = 0;
     for (int w : everyone) {
@@ -646,7 +645,6 @@ TEST(TopologyTreeTest, SingleTierEntryPointsMatchClosedFormsExactly) {
     for (int w : subset) {
       subset_wire.push_back(wire[static_cast<size_t>(w)]);
       subset_wire_sum += wire[static_cast<size_t>(w)];
-      subset_weights.push_back(0.5 + rng.NextDouble());
     }
     const int worker = static_cast<int>(rng.NextBounded(workers));
     const double worker_factor =
@@ -714,17 +712,6 @@ TEST(TopologyTreeTest, SingleTierEntryPointsMatchClosedFormsExactly) {
                                    static_cast<int>(subset.size()),
                                    subset_factor));
       }
-      if (!subset.empty()) {
-        SimNetwork network = fresh();
-        network.AllReduceWeightedAverageSubset(subset_pointers, subset,
-                                               subset_weights, n,
-                                               TrafficClass::kModelSync);
-        expect_charged(
-            network.stats(),
-            single_tier::AllReduce(model, algorithm, payload * subset.size(),
-                                   static_cast<int>(subset.size()),
-                                   subset_factor));
-      }
       {
         SimNetwork network = fresh();
         network.AccountCheckInSync(n, worker);
@@ -743,13 +730,8 @@ TEST(TopologyTreeTest, SingleTierEntryPointsMatchClosedFormsExactly) {
       }
       for (size_t retry_payload : {payload, wire[0]}) {
         SimNetwork network = fresh();
-        if (retry_payload == payload) {
-          network.AccountSyncRetries(worker, n, retries, backoff,
-                                     TrafficClass::kModelSync);
-        } else {
-          network.AccountSyncRetriesBytes(worker, retry_payload, retries,
-                                          backoff, TrafficClass::kModelSync);
-        }
+        network.AccountSyncRetriesBytes(worker, retry_payload, retries,
+                                        backoff, TrafficClass::kModelSync);
         single_tier::Charge expected;
         for (int attempt = 0; attempt < retries; ++attempt) {
           const single_tier::Charge hop =
