@@ -459,6 +459,20 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
           "faults.round_deadline_seconds is round-scoped: the event-ordered "
           "schedule has no rounds");
     }
+    // The cohort rotates after every successful sync, sampled uniformly:
+    // availability weighting reads the round-scoped up/down chains, and a
+    // rotation period counts rounds.
+    if (config_.cohort_schedule == CohortScheduleKind::kAvailability) {
+      return Status::InvalidArgument(
+          "cohort_schedule = kAvailability reads round-scoped availability: "
+          "the event-ordered schedule has no rounds");
+    }
+    if (config_.cohort_steps != 1) {
+      return Status::InvalidArgument(StrFormat(
+          "cohort_steps (%d) counts rounds: the event-ordered schedule "
+          "rotates the cohort after every successful sync",
+          config_.cohort_steps));
+    }
   }
 
   std::vector<WorkerState> workers;
@@ -561,13 +575,16 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
   std::vector<char> participation;
   std::vector<double> step_times;
   if (config_.faults.enabled()) {
-    if (config_.fleet_enabled()) {
+    if (config_.fleet_enabled() && !event_ordered) {
       // The chains run over the whole population: a client can crash and
       // repair while off-cohort. Link outages group clients by their home
       // leaf (flat topologies give every client its own link). With
       // population == K this mapping equals the resident constructors'
-      // and the chains are bit-identical. The event hooks draw from the
-      // same stream whatever the population.
+      // and the chains are bit-identical. The event-ordered schedule never
+      // advances the chains — its hooks (SampleCrash, SampleRepairRounds,
+      // SampleDelivery) draw from the injector's one forked stream and the
+      // constructor draws nothing — so it keeps the resident-sized injector
+      // below whatever the population.
       std::vector<int> client_links(config_.population);
       int num_links;
       if (leaf_layout != nullptr) {
@@ -643,8 +660,8 @@ StatusOr<TrainResult> DistributedTrainer::Run(SyncPolicy* policy) {
 
   // The event-ordered schedule: one pending event per worker on a
   // simulated clock. Its cohort is seeded up front and rotates at every
-  // successful sync; sampling never reads the round-scoped availability
-  // chains, so the sampler degrades to uniform.
+  // successful sync, sampled uniformly (Run rejects the round-scoped
+  // availability schedule and cohort_steps).
   std::priority_queue<StepEvent, std::vector<StepEvent>,
                       std::greater<StepEvent>>
       events;

@@ -216,11 +216,12 @@ struct TrainerConfig {
   /// (and never exceed the topology's K resident leaf slots) — Validate
   /// rejects anything else with a Status.
   int cohort_size = 0;
-  /// Rounds between cohort rotations on the lock-step schedule (the
-  /// event-ordered schedule rotates at every successful sync instead).
-  /// >= 1.
+  /// Rounds between cohort rotations on the lock-step schedule. >= 1; the
+  /// event-ordered schedule rotates at every successful sync instead and
+  /// rejects anything but 1.
   int cohort_steps = 1;
-  /// How the CohortSampler picks each round's cohort.
+  /// How the CohortSampler picks each round's cohort. The event-ordered
+  /// schedule samples uniformly and rejects kAvailability.
   CohortScheduleKind cohort_schedule = CohortScheduleKind::kUniform;
 
   bool fleet_enabled() const { return population > 0; }

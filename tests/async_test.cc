@@ -179,6 +179,37 @@ TEST(AsyncFdaTest, RejectsRoundScopedFaults) {
             std::string::npos);
 }
 
+// A fleet on the event-ordered schedule rotates after every successful
+// sync with uniform sampling, so the round-scoped cohort knobs come back
+// as a Status instead of being silently ignored.
+TEST(AsyncFdaTest, RejectsRoundScopedCohortKnobs) {
+  SynthImageData data = SmallData();
+  TrainerConfig fleet = BaseConfig();
+  fleet.max_steps = 5;
+  fleet.population = 16;
+  ASSERT_TRUE(fleet.Validate().ok());
+
+  TrainerConfig availability = fleet;
+  availability.cohort_schedule = CohortScheduleKind::kAvailability;
+  availability.faults = FaultConfig::Churn(10.0, 2.0);
+  auto result = RunAsync(data, availability, LinearAsync(0.05));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("kAvailability"),
+            std::string::npos);
+
+  TrainerConfig period = fleet;
+  period.cohort_steps = 4;
+  result = RunAsync(data, period, LinearAsync(0.05));
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(result.status().message().find("cohort_steps"),
+            std::string::npos);
+
+  // The defaults still run.
+  EXPECT_TRUE(RunAsync(data, fleet, LinearAsync(0.05)).ok());
+}
+
 TEST(AsyncFdaTest, FasterThanBspUnderHeavyStragglers) {
   // The §3.3 claim: async lets fast workers proceed. Compare simulated
   // seconds per in-parallel step against the lock-step schedule's BSP
