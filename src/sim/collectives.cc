@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
 
 #include "tensor/vec_ops.h"
 #include "util/check.h"
@@ -186,10 +187,8 @@ void SimNetwork::AllReduceMean(const std::vector<float*>& buffers,
   size_t sum = n * sizeof(float) * buffers.size();
   if (payload_bytes != nullptr) {
     FEDRA_CHECK_EQ(payload_bytes->size(), buffers.size());
-    sum = 0;
-    for (size_t bytes : *payload_bytes) {
-      sum += bytes;
-    }
+    sum = std::accumulate(payload_bytes->begin(), payload_bytes->end(),
+                          size_t{0});
   }
   ReduceMeanBuffers(buffers, n);
   AccountAllReduce(sum, buffers.size(), active, traffic);
@@ -284,11 +283,9 @@ void SimNetwork::SubtreeAllReduceAverage(
   }
   double per_member = static_cast<double>(n * sizeof(float));
   if (payload_bytes != nullptr) {
-    size_t sum = 0;
-    for (size_t bytes : *payload_bytes) {
-      sum += bytes;
-    }
     // Mean wire size in double, as the global payload collectives bill it.
+    const size_t sum = std::accumulate(payload_bytes->begin(),
+                                       payload_bytes->end(), size_t{0});
     per_member = static_cast<double>(sum) / static_cast<double>(members);
   }
   ChargeTree(tree_.SubtreeSyncCost(node_id, per_member, num_workers_,
