@@ -833,7 +833,7 @@ double SecondsPerCall(const std::function<void()>& fn) {
 /// Writes BENCH_kernels.json: every dispatched kernel timed at every SIMD
 /// level this host supports (simd::SupportedLevels x simd::SetLevel), with
 /// bytes-touched GB/s, GFLOP/s where FLOPs are well-defined, and speedup
-/// relative to the kGeneric portable-vector path. Buffers are L2-resident
+/// relative to the kGeneric portable path. Buffers are L2-resident
 /// (n = 4096) so the numbers expose compute limits, not DRAM bandwidth.
 int RunKernelsSweep(const std::string& path) {
   const size_t n = 4096;

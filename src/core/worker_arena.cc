@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "util/check.h"
-#include "util/thread_pool.h"
 
 // GCC defines __SANITIZE_ADDRESS__; clang exposes it via __has_feature.
 #if defined(__SANITIZE_ADDRESS__)
@@ -66,28 +65,13 @@ constexpr size_t kSlabAlignment = 64;
 
 }  // namespace
 
-ArenaPlacement DefaultArenaPlacement() {
-  // Read-only env probe; no setenv runs concurrently with arena creation.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("FEDRA_ARENA_PLACEMENT");
-  if (env == nullptr || *env == '\0' || std::strcmp(env, "default") == 0) {
-    return ArenaPlacement::kDefault;
-  }
-  FEDRA_CHECK(std::strcmp(env, "first_touch") == 0)
-      << "FEDRA_ARENA_PLACEMENT=" << env
-      << "is not a placement (want default|first_touch)";
-  return ArenaPlacement::kFirstTouch;
-}
-
 void WorkerArena::Slab::Allocate(size_t count) {
   size_ = count;
   if (count == 0) {
     data_.reset();
     return;
   }
-  // aligned_alloc wants the size in whole alignment units. The allocation
-  // itself maps address space only; pages materialize on first write, which
-  // is the whole point (see the placement note in the header).
+  // aligned_alloc wants the size in whole alignment units.
   size_t bytes = count * sizeof(float);
   bytes = (bytes + kSlabAlignment - 1) / kSlabAlignment * kSlabAlignment;
   float* raw = static_cast<float*>(std::aligned_alloc(kSlabAlignment, bytes));
@@ -105,33 +89,7 @@ void WorkerArena::InitSlab(Slab& slab, size_t row_len) {
   slab.Allocate(k * stride);
   ++allocation_count_;
   float* base = slab.data();
-  // Zero every row (plus its guard gap — same stride span, so each worker's
-  // pages are wholly first-touched by one thread). First-touch placement
-  // fans the zeroing out so worker w faults the rows it will compute on;
-  // it degrades to inline zeroing whenever blocking on the pool is unsafe
-  // (inside a pool worker) or pointless (single-thread pool).
-  bool first_touch = placement_ == ArenaPlacement::kFirstTouch &&
-                     !ThreadPool::OnPoolThread();
-  if (first_touch) {
-    // Only reached when asked for: kDefault arenas never instantiate the
-    // global pool from here.
-    ThreadPool& pool = GlobalThreadPool();
-    const size_t num_threads = pool.num_threads();
-    if (num_threads <= 1) {
-      first_touch = false;
-    } else {
-      for (size_t worker = 0; worker < k; ++worker) {
-        float* row = base + worker * stride;
-        pool.ScheduleOn(worker % num_threads, [row, stride] {
-          std::memset(row, 0, stride * sizeof(float));
-        });
-      }
-      pool.Wait();
-    }
-  }
-  if (!first_touch) {
-    std::memset(base, 0, k * stride * sizeof(float));
-  }
+  std::memset(base, 0, k * stride * sizeof(float));
   if (guards_enabled()) {
     const float canary = CanaryWord();
     for (size_t worker = 0; worker < k; ++worker) {
@@ -149,12 +107,10 @@ float* WorkerArena::RowPtr(Slab& slab, int k, size_t row_len) {
   return slab.data() + static_cast<size_t>(k) * RowStride(row_len);
 }
 
-WorkerArena::WorkerArena(int num_workers, size_t dim, size_t opt_state_slots,
-                         ArenaPlacement placement)
+WorkerArena::WorkerArena(int num_workers, size_t dim, size_t opt_state_slots)
     : num_workers_(num_workers),
       dim_(dim),
-      opt_state_slots_(opt_state_slots),
-      placement_(placement) {
+      opt_state_slots_(opt_state_slots) {
   FEDRA_CHECK_GT(num_workers, 0);
   FEDRA_CHECK_GT(dim, 0u);
   InitSlab(params_, dim);

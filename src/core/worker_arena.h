@@ -9,17 +9,8 @@
 // only its own slices, so parallel worker execution stays deterministic
 // while every worker shares one read-only ModelGraph.
 //
-// Placement: slabs are 64-byte-aligned raw allocations whose pages are not
-// faulted until first written. With ArenaPlacement::kFirstTouch (opt in via
-// FEDRA_ARENA_PLACEMENT=first_touch), row k is zeroed — and therefore
-// page-faulted — by pool worker k % num_threads instead of the constructing
-// thread. Combined with FEDRA_AFFINITY worker→core pinning, Linux's default
-// first-touch NUMA policy then places each worker's params/grads/opt rows
-// on the socket of the worker that computes on them; on single-socket
-// machines the same path still gives per-core page locality. kDefault keeps
-// the old behavior (construct-thread zeroing), and first-touch quietly
-// degrades to it for single-thread pools or construction from inside a pool
-// worker (where blocking on the pool would deadlock).
+// Slabs are 64-byte-aligned raw allocations, zeroed by the constructing
+// thread.
 //
 // Debug guards (FEDRA_DCHECK_IS_ON, i.e. Debug and sanitizer builds): every
 // slab row is fenced by kGuardFloats canary words, so rows sit at stride
@@ -44,17 +35,6 @@
 
 namespace fedra {
 
-/// Who faults a slab's pages into existence.
-enum class ArenaPlacement {
-  kDefault,     // constructing thread zeroes every row
-  kFirstTouch,  // pool worker k % threads zeroes row k (NUMA first-touch)
-};
-
-/// Placement resolved from FEDRA_ARENA_PLACEMENT ("default" or empty →
-/// kDefault, "first_touch" → kFirstTouch; anything else aborts). Read once
-/// per call; the arena constructor uses it when no placement is passed.
-ArenaPlacement DefaultArenaPlacement();
-
 class WorkerArena {
  public:
   /// Canary words fencing each slab row in guarded builds (one cache line).
@@ -65,13 +45,8 @@ class WorkerArena {
 
   /// Slabs for `num_workers` workers of a `dim`-parameter model whose local
   /// optimizer keeps `opt_state_slots` dim-length state vectors per worker
-  /// (OptimizerConfig::StateSlots()). All slabs are zero-initialized; who
-  /// zeroes (and so which NUMA node backs each row) is `placement`.
-  WorkerArena(int num_workers, size_t dim, size_t opt_state_slots,
-              ArenaPlacement placement);
-  WorkerArena(int num_workers, size_t dim, size_t opt_state_slots)
-      : WorkerArena(num_workers, dim, opt_state_slots,
-                    DefaultArenaPlacement()) {}
+  /// (OptimizerConfig::StateSlots()). All slabs are zero-initialized.
+  WorkerArena(int num_workers, size_t dim, size_t opt_state_slots);
   ~WorkerArena();
 
   WorkerArena(const WorkerArena&) = delete;
@@ -80,7 +55,6 @@ class WorkerArena {
   int num_workers() const { return num_workers_; }
   size_t dim() const { return dim_; }
   size_t opt_state_slots() const { return opt_state_slots_; }
-  ArenaPlacement placement() const { return placement_; }
 
   /// Element distance between consecutive workers' rows in the params /
   /// grads / drift slabs: dim() packed, dim() + kGuardFloats guarded.
@@ -137,9 +111,7 @@ class WorkerArena {
   void CheckCanaries() const;
 
  private:
-  // One 64-byte-aligned raw slab. Allocation leaves the pages untouched —
-  // virtual address space only — so the thread that zeroes a row is the
-  // thread whose NUMA node backs it (Linux first-touch).
+  // One 64-byte-aligned raw slab.
   class Slab {
    public:
     // Uninitialized storage for `count` floats; count == 0 stays empty.
@@ -161,7 +133,6 @@ class WorkerArena {
   static size_t RowStride(size_t row_len);
   // Sizes, zero-fills, and fences one slab of num_workers_ rows; bumps
   // allocation_count_ and (guarded builds) paints/poisons the canary gaps.
-  // Under kFirstTouch the per-row zeroing fans out over the global pool.
   void InitSlab(Slab& slab, size_t row_len);
   float* RowPtr(Slab& slab, int k, size_t row_len);
   void CheckSlabCanaries(const Slab& slab, size_t row_len,
@@ -170,7 +141,6 @@ class WorkerArena {
   int num_workers_;
   size_t dim_;
   size_t opt_state_slots_;
-  ArenaPlacement placement_;
   size_t state_size_ = 0;
   size_t allocation_count_ = 0;
   Slab params_;     // [K x dim], guard-fenced rows

@@ -102,11 +102,9 @@ void PackB(bool trans_b, const float* b, int k, int n, int p0, int kc, int j0,
 }
 
 // The register-tiled micro-kernel (acc[MR][NR] = apanel * bpanel over kc
-// depth steps) lives in tensor/simd_dispatch.cc: the generic-vector
-// formulation there is the exact kernel that used to be here, and the
-// dispatch table swaps in AVX2/AVX-512 tilings at runtime. The formulation
-// matters — GCC 12 compiles a scalar `local[i][j] += a[i] * b[j]` nest to
-// shuffle-heavy 4-wide code (~25x slower).
+// depth steps) lives in tensor/simd_dispatch.cc: a portable loop the
+// compiler vectorizes for the build's target, which the dispatch table
+// swaps for AVX2/AVX-512 tilings at runtime.
 
 }  // namespace
 

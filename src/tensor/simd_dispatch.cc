@@ -6,15 +6,13 @@
 // selection decision is auditable in one place.
 //
 // Layout of this file:
-//   1. Portable canonical kernels — the exact code vec_ops.cc/ops.cc
-//     shipped before dispatch existed, moved here verbatim. They define the
-//     canonical accumulation patterns (4 double lanes for reductions, the
-//     256-double L1 tile for the reduce kernels) and serve as both the
-//     kScalar and kGeneric flat-span implementations.
+//   1. Portable canonical kernels — the kGeneric tier, and the only tier
+//     on non-x86 hosts. They define the canonical accumulation patterns (4
+//     double lanes for reductions, the 256-double L1 tile for the reduce
+//     kernels, one ascending chain per cell for the GEMM micro-tile).
 //   2. x86 variants (AVX2+FMA, AVX-512F) behind target attributes, so a
 //     baseline build still carries them and picks them at runtime.
-//   3. AArch64 NEON variants.
-//   4. Table construction (fallback ladder) and level resolution.
+//   3. Table construction (fallback ladder) and level resolution.
 //
 // Determinism: each variant commits to one fixed accumulation pattern, so
 // results are bit-deterministic for a fixed level. The wide variants run
@@ -38,18 +36,13 @@
 #include <immintrin.h>
 #endif
 
-#if defined(__aarch64__) && (defined(__GNUC__) || defined(__clang__))
-#define FEDRA_SIMD_NEON 1
-#include <arm_neon.h>
-#endif
-
 namespace fedra {
 namespace simd {
 
 namespace {
 
 // ------------------------------------------------------------------------
-// 1. Portable canonical kernels (kScalar and kGeneric flat-span tier).
+// 1. Portable canonical kernels (the kGeneric tier).
 // ------------------------------------------------------------------------
 
 void AxpyPortable(float alpha, const float* x, float* y, size_t n) {
@@ -193,16 +186,15 @@ void ReduceScalePortable(const float* const* bufs, size_t num_bufs, size_t n,
   }
 }
 
-// GEMM micro-kernels. The scalar variant is the original fallback loop; the
-// generic variant is the GCC/Clang vector-extension formulation that the
-// packed-panel GEMM shipped with (two 16-float accumulator vectors per row,
-// broadcast-FMA over the depth loop). Both compute each acc[i][j] as one
+// GEMM micro-kernel: a plain loop the compiler vectorizes for whatever ISA
+// the build targets (built -march=native on an AVX-512 host it runs as fast
+// as the explicit-zmm AVX-512 kernel). It computes each acc[i][j] as one
 // chain over p in ascending order, as do the intrinsics variants below —
 // the micro-kernel has no reduction reassociation freedom, only different
 // tiling of the same per-cell chains.
 
-void GemmMicroScalar(int kc, const float* apanel, const float* bpanel,
-                     float* acc) {
+void GemmMicroPortable(int kc, const float* apanel, const float* bpanel,
+                       float* acc) {
   float local[kGemmMr][kGemmNr] = {};
   for (int p = 0; p < kc; ++p, apanel += kGemmMr, bpanel += kGemmNr) {
     for (int i = 0; i < kGemmMr; ++i) {
@@ -214,30 +206,6 @@ void GemmMicroScalar(int kc, const float* apanel, const float* bpanel,
   }
   std::memcpy(acc, local, sizeof(local));
 }
-
-#if defined(__GNUC__) || defined(__clang__)
-#define FEDRA_SIMD_HAS_VECEXT 1
-typedef float Vf16 __attribute__((vector_size(64), aligned(4)));
-static_assert(kGemmNr == 2 * 16, "micro-kernel assumes two 16-float vectors");
-
-__attribute__((noinline)) void GemmMicroGeneric(int kc,
-                                                const float* __restrict__
-                                                    apanel,
-                                                const float* __restrict__
-                                                    bpanel,
-                                                float* __restrict__ acc) {
-  Vf16 local[kGemmMr][2] = {};
-  for (int p = 0; p < kc; ++p, apanel += kGemmMr, bpanel += kGemmNr) {
-    const Vf16 b0 = *reinterpret_cast<const Vf16*>(bpanel);
-    const Vf16 b1 = *reinterpret_cast<const Vf16*>(bpanel + 16);
-    for (int i = 0; i < kGemmMr; ++i) {
-      local[i][0] += apanel[i] * b0;
-      local[i][1] += apanel[i] * b1;
-    }
-  }
-  std::memcpy(acc, local, sizeof(local));
-}
-#endif  // vector extensions
 
 // ------------------------------------------------------------------------
 // 2. x86 variants: AVX2+FMA and AVX-512F, selected at runtime. Target
@@ -456,6 +424,13 @@ __attribute__((target("avx2,fma"))) void GemmMicroAvx2(int kc,
 // (vcvtps2pd) become the throughput limit, roughly 8 elements/cycle against
 // the canonical pattern's ~2.
 
+// Upper 8 floats of a zmm. _mm512_extractf32x8_ps would be the direct spelling
+// but needs AVX512DQ, which the avx512f probe does not check; the 64x4
+// extract is AVX-512F and moves the same bits.
+__attribute__((target("avx512f"))) __m256 UpperHalf(__m512 v) {
+  return _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
+}
+
 __attribute__((target("avx512f"))) double HSum32(__m512d acc0, __m512d acc1,
                                                  __m512d acc2, __m512d acc3) {
   const __m512d sum = _mm512_add_pd(_mm512_add_pd(acc0, acc1),
@@ -551,14 +526,10 @@ __attribute__((target("avx512f"))) double SubSquaredNormAvx512(
                                     _mm512_loadu_ps(b + i + 16));
     _mm512_storeu_ps(out + i, d0);
     _mm512_storeu_ps(out + i + 16, d1);
-    const __m512d w0 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(d0));
-    const __m512d w1 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(d0, 1));
-    const __m512d w2 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(d1));
-    const __m512d w3 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(d1, 1));
+    const __m512d w0 = _mm512_cvtps_pd(_mm512_castps512_ps256(d0));
+    const __m512d w1 = _mm512_cvtps_pd(UpperHalf(d0));
+    const __m512d w2 = _mm512_cvtps_pd(_mm512_castps512_ps256(d1));
+    const __m512d w3 = _mm512_cvtps_pd(UpperHalf(d1));
     acc0 = _mm512_fmadd_pd(w0, w0, acc0);
     acc1 = _mm512_fmadd_pd(w1, w1, acc1);
     acc2 = _mm512_fmadd_pd(w2, w2, acc2);
@@ -589,14 +560,10 @@ __attribute__((target("avx512f"))) double AxpyNormAvx512(float alpha,
                                       _mm512_loadu_ps(y + i + 16));
     _mm512_storeu_ps(y + i, y0);
     _mm512_storeu_ps(y + i + 16, y1);
-    const __m512d w0 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(y0));
-    const __m512d w1 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(y0, 1));
-    const __m512d w2 =
-        _mm512_cvtps_pd(_mm512_castps512_ps256(y1));
-    const __m512d w3 =
-        _mm512_cvtps_pd(_mm512_extractf32x8_ps(y1, 1));
+    const __m512d w0 = _mm512_cvtps_pd(_mm512_castps512_ps256(y0));
+    const __m512d w1 = _mm512_cvtps_pd(UpperHalf(y0));
+    const __m512d w2 = _mm512_cvtps_pd(_mm512_castps512_ps256(y1));
+    const __m512d w3 = _mm512_cvtps_pd(UpperHalf(y1));
     acc0 = _mm512_fmadd_pd(w0, w0, acc0);
     acc1 = _mm512_fmadd_pd(w1, w1, acc1);
     acc2 = _mm512_fmadd_pd(w2, w2, acc2);
@@ -693,10 +660,10 @@ __attribute__((target("avx512f"))) void ReduceScaleAvx512(
   }
 }
 
-// The explicit-zmm formulation of the generic micro-kernel (16 accumulator
+// The explicit-zmm formulation of the portable micro-kernel (16 accumulator
 // vectors + 2 B vectors in the 32-register file). On a -march=native
-// AVX-512 build this matches what the compiler emits for the generic
-// kernel; on a baseline build — where the generic kernel lowers to 4-wide
+// AVX-512 build this matches what the compiler emits for the portable
+// kernel; on a baseline build — where the portable kernel lowers to 4-wide
 // SSE — it is the difference between shipping one binary and shipping one
 // per machine.
 __attribute__((target("avx512f"))) void GemmMicroAvx512(int kc,
@@ -728,150 +695,11 @@ __attribute__((target("avx512f"))) void GemmMicroAvx512(int kc,
 #endif  // FEDRA_SIMD_X86
 
 // ------------------------------------------------------------------------
-// 3. AArch64 NEON variants: 8 double lanes (4 x float64x2) per reduction.
-// The reduce kernels and the GEMM micro-kernel fall back to the generic
-// tier (the vector-extension kernel lowers to NEON well).
+// 3. Tables and resolution.
 // ------------------------------------------------------------------------
 
-#if defined(FEDRA_SIMD_NEON)
-
-double HSum8Neon(float64x2_t acc0, float64x2_t acc1, float64x2_t acc2,
-                 float64x2_t acc3) {
-  const float64x2_t sum =
-      vaddq_f64(vaddq_f64(acc0, acc1), vaddq_f64(acc2, acc3));
-  return vgetq_lane_f64(sum, 0) + vgetq_lane_f64(sum, 1);
-}
-
-void AxpyNeon(float alpha, const float* x, float* y, size_t n) {
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    vst1q_f32(y + i, vfmaq_n_f32(vld1q_f32(y + i), vld1q_f32(x + i), alpha));
-    vst1q_f32(y + i + 4,
-              vfmaq_n_f32(vld1q_f32(y + i + 4), vld1q_f32(x + i + 4), alpha));
-  }
-  for (; i < n; ++i) {
-    y[i] += alpha * x[i];
-  }
-}
-
-double DotNeon(const float* a, const float* b, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t a0 = vld1q_f32(a + i);
-    const float32x4_t b0 = vld1q_f32(b + i);
-    const float32x4_t a1 = vld1q_f32(a + i + 4);
-    const float32x4_t b1 = vld1q_f32(b + i + 4);
-    acc0 = vfmaq_f64(acc0, vcvt_f64_f32(vget_low_f32(a0)),
-                     vcvt_f64_f32(vget_low_f32(b0)));
-    acc1 = vfmaq_f64(acc1, vcvt_high_f64_f32(a0), vcvt_high_f64_f32(b0));
-    acc2 = vfmaq_f64(acc2, vcvt_f64_f32(vget_low_f32(a1)),
-                     vcvt_f64_f32(vget_low_f32(b1)));
-    acc3 = vfmaq_f64(acc3, vcvt_high_f64_f32(a1), vcvt_high_f64_f32(b1));
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    total += static_cast<double>(a[i]) * static_cast<double>(b[i]);
-  }
-  return total;
-}
-
-double SquaredNormNeon(const float* x, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t x0 = vld1q_f32(x + i);
-    const float32x4_t x1 = vld1q_f32(x + i + 4);
-    const float64x2_t w0 = vcvt_f64_f32(vget_low_f32(x0));
-    const float64x2_t w1 = vcvt_high_f64_f32(x0);
-    const float64x2_t w2 = vcvt_f64_f32(vget_low_f32(x1));
-    const float64x2_t w3 = vcvt_high_f64_f32(x1);
-    acc0 = vfmaq_f64(acc0, w0, w0);
-    acc1 = vfmaq_f64(acc1, w1, w1);
-    acc2 = vfmaq_f64(acc2, w2, w2);
-    acc3 = vfmaq_f64(acc3, w3, w3);
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const double xi = x[i];
-    total += xi * xi;
-  }
-  return total;
-}
-
-double SubSquaredNormNeon(const float* a, const float* b, float* out,
-                          size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t d0 = vsubq_f32(vld1q_f32(a + i), vld1q_f32(b + i));
-    const float32x4_t d1 =
-        vsubq_f32(vld1q_f32(a + i + 4), vld1q_f32(b + i + 4));
-    vst1q_f32(out + i, d0);
-    vst1q_f32(out + i + 4, d1);
-    const float64x2_t w0 = vcvt_f64_f32(vget_low_f32(d0));
-    const float64x2_t w1 = vcvt_high_f64_f32(d0);
-    const float64x2_t w2 = vcvt_f64_f32(vget_low_f32(d1));
-    const float64x2_t w3 = vcvt_high_f64_f32(d1);
-    acc0 = vfmaq_f64(acc0, w0, w0);
-    acc1 = vfmaq_f64(acc1, w1, w1);
-    acc2 = vfmaq_f64(acc2, w2, w2);
-    acc3 = vfmaq_f64(acc3, w3, w3);
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float d = a[i] - b[i];
-    out[i] = d;
-    total += static_cast<double>(d) * static_cast<double>(d);
-  }
-  return total;
-}
-
-double AxpyNormNeon(float alpha, const float* x, float* y, size_t n) {
-  float64x2_t acc0 = vdupq_n_f64(0.0);
-  float64x2_t acc1 = vdupq_n_f64(0.0);
-  float64x2_t acc2 = vdupq_n_f64(0.0);
-  float64x2_t acc3 = vdupq_n_f64(0.0);
-  size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    const float32x4_t y0 =
-        vfmaq_n_f32(vld1q_f32(y + i), vld1q_f32(x + i), alpha);
-    const float32x4_t y1 =
-        vfmaq_n_f32(vld1q_f32(y + i + 4), vld1q_f32(x + i + 4), alpha);
-    vst1q_f32(y + i, y0);
-    vst1q_f32(y + i + 4, y1);
-    const float64x2_t w0 = vcvt_f64_f32(vget_low_f32(y0));
-    const float64x2_t w1 = vcvt_high_f64_f32(y0);
-    const float64x2_t w2 = vcvt_f64_f32(vget_low_f32(y1));
-    const float64x2_t w3 = vcvt_high_f64_f32(y1);
-    acc0 = vfmaq_f64(acc0, w0, w0);
-    acc1 = vfmaq_f64(acc1, w1, w1);
-    acc2 = vfmaq_f64(acc2, w2, w2);
-    acc3 = vfmaq_f64(acc3, w3, w3);
-  }
-  double total = HSum8Neon(acc0, acc1, acc2, acc3);
-  for (; i < n; ++i) {
-    const float yi = y[i] + alpha * x[i];
-    y[i] = yi;
-    total += static_cast<double>(yi) * static_cast<double>(yi);
-  }
-  return total;
-}
-
-#endif  // FEDRA_SIMD_NEON
-
-// ------------------------------------------------------------------------
-// 4. Tables and resolution.
-// ------------------------------------------------------------------------
+constexpr Level kAllLevels[] = {Level::kGeneric, Level::kAvx2,
+                                Level::kAvx512};
 
 bool CpuSupportsAvx2() {
 #if defined(FEDRA_SIMD_X86)
@@ -892,22 +720,17 @@ bool CpuSupportsAvx512() {
 struct Tables {
   // Indexed by static_cast<int>(Level). Each level starts from the tier
   // below it and overrides the kernels it has a variant for.
-  KernelTable per_level[5];
+  KernelTable per_level[3];
 
   Tables() {
-    KernelTable scalar;
-    scalar.axpy = AxpyPortable;
-    scalar.dot = DotPortable;
-    scalar.squared_norm = SquaredNormPortable;
-    scalar.sub_squared_norm = SubSquaredNormPortable;
-    scalar.axpy_norm = AxpyNormPortable;
-    scalar.reduce_scale = ReduceScalePortable;
-    scalar.gemm_micro_8x32 = GemmMicroScalar;
-
-    KernelTable generic = scalar;
-#if defined(FEDRA_SIMD_HAS_VECEXT)
-    generic.gemm_micro_8x32 = GemmMicroGeneric;
-#endif
+    KernelTable generic;
+    generic.axpy = AxpyPortable;
+    generic.dot = DotPortable;
+    generic.squared_norm = SquaredNormPortable;
+    generic.sub_squared_norm = SubSquaredNormPortable;
+    generic.axpy_norm = AxpyNormPortable;
+    generic.reduce_scale = ReduceScalePortable;
+    generic.gemm_micro_8x32 = GemmMicroPortable;
 
     KernelTable avx2 = generic;
     KernelTable avx512 = generic;
@@ -929,20 +752,9 @@ struct Tables {
     avx512.gemm_micro_8x32 = GemmMicroAvx512;
 #endif
 
-    KernelTable neon = generic;
-#if defined(FEDRA_SIMD_NEON)
-    neon.axpy = AxpyNeon;
-    neon.dot = DotNeon;
-    neon.squared_norm = SquaredNormNeon;
-    neon.sub_squared_norm = SubSquaredNormNeon;
-    neon.axpy_norm = AxpyNormNeon;
-#endif
-
-    per_level[static_cast<int>(Level::kScalar)] = scalar;
     per_level[static_cast<int>(Level::kGeneric)] = generic;
     per_level[static_cast<int>(Level::kAvx2)] = avx2;
     per_level[static_cast<int>(Level::kAvx512)] = avx512;
-    per_level[static_cast<int>(Level::kNeon)] = neon;
   }
 };
 
@@ -974,7 +786,7 @@ Level ResolveDefaultLevel() {
       Level level;
       FEDRA_CHECK(ParseLevelName(env, &level))
           << "FEDRA_SIMD=" << env
-          << "is not a SIMD level (want scalar|generic|avx2|avx512|neon)";
+          << "is not a SIMD level (want generic|avx2|avx512)";
       FEDRA_CHECK(LevelSupported(level))
           << "FEDRA_SIMD=" << env
           << "is not supported on this CPU/build; supported:"
@@ -988,9 +800,6 @@ Level ResolveDefaultLevel() {
   if (LevelSupported(Level::kAvx2)) {
     return Level::kAvx2;
   }
-  if (LevelSupported(Level::kNeon)) {
-    return Level::kNeon;
-  }
   return Level::kGeneric;
 }
 
@@ -998,27 +807,19 @@ Level ResolveDefaultLevel() {
 
 bool LevelSupported(Level level) {
   switch (level) {
-    case Level::kScalar:
     case Level::kGeneric:
       return true;
     case Level::kAvx2:
       return CpuSupportsAvx2();
     case Level::kAvx512:
       return CpuSupportsAvx512();
-    case Level::kNeon:
-#if defined(FEDRA_SIMD_NEON)
-      return true;
-#else
-      return false;
-#endif
   }
   return false;
 }
 
 std::vector<Level> SupportedLevels() {
   std::vector<Level> levels;
-  for (Level level : {Level::kScalar, Level::kGeneric, Level::kAvx2,
-                      Level::kAvx512, Level::kNeon}) {
+  for (Level level : kAllLevels) {
     if (LevelSupported(level)) {
       levels.push_back(level);
     }
@@ -1028,23 +829,18 @@ std::vector<Level> SupportedLevels() {
 
 const char* LevelName(Level level) {
   switch (level) {
-    case Level::kScalar:
-      return "scalar";
     case Level::kGeneric:
       return "generic";
     case Level::kAvx2:
       return "avx2";
     case Level::kAvx512:
       return "avx512";
-    case Level::kNeon:
-      return "neon";
   }
   return "unknown";
 }
 
 bool ParseLevelName(const std::string& name, Level* level) {
-  for (Level candidate : {Level::kScalar, Level::kGeneric, Level::kAvx2,
-                          Level::kAvx512, Level::kNeon}) {
+  for (Level candidate : kAllLevels) {
     if (name == LevelName(candidate)) {
       *level = candidate;
       return true;

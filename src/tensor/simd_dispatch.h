@@ -7,30 +7,30 @@
 // every ISA-specific decision in the tree lives behind it (the determinism
 // lint bans cpuid/ISA-#ifdef use anywhere else in src/):
 //
-//   * `Level` enumerates the compiled-in implementation tiers: kScalar
-//     (plain loops), kGeneric (GCC/Clang generic-vector code, the portable
-//     default), kAvx2 (AVX2+FMA intrinsics), kAvx512 (AVX-512F
-//     intrinsics), kNeon (AArch64 NEON intrinsics).
+//   * `Level` enumerates the compiled-in implementation tiers: kGeneric
+//     (portable C++ loops the compiler vectorizes for the build's target —
+//     the only tier on non-x86 hosts), kAvx2 (AVX2+FMA intrinsics), kAvx512
+//     (AVX-512F intrinsics). The intrinsic tiers are what a baseline
+//     (-march=x86-64) build runs fast: there the portable GEMM lowers to
+//     4-wide SSE, and under AVX2-only codegen the intrinsic AVX2 GEMM is
+//     1.2-1.5x faster than the portable one (bench/README.md).
 //   * Resolution happens once, lazily: the best runtime-supported level via
 //     cpuid (`__builtin_cpu_supports`), overridable by FEDRA_SIMD=
-//     scalar|generic|avx2|avx512|neon (requesting an unsupported level
-//     aborts with the supported list — a silent downgrade would invalidate
-//     recorded benchmarks).
+//     generic|avx2|avx512 (requesting an unsupported level aborts with the
+//     supported list — a silent downgrade would invalidate recorded
+//     benchmarks).
 //   * `Kernels()` returns the active function-pointer table; vec_ops.cc and
 //     ops.cc route the hot kernels through it. A level runs each kernel at
 //     the highest variant <= the level that exists for that kernel, so e.g.
-//     kNeon uses NEON flat-span kernels but the generic-vector GEMM
-//     micro-kernel.
+//     kAvx2 runs the portable reduce_scale.
 //
 // Determinism contract (docs/determinism.md): results are bit-deterministic
 // for a fixed level — every variant has a fixed accumulation pattern, and
 // the 32768-element parallel chunk boundaries are level-independent.
 // Different levels may reassociate reductions differently and agree only to
 // parity-test tolerance (tests/simd_dispatch_test.cc drives every
-// compiled-in level against the ref:: oracles). kScalar and kGeneric share
-// the portable canonical implementations for the flat-span kernels and are
-// bit-identical by construction; golden-history suites pin kGeneric so
-// their hard-coded arrays hold on any machine.
+// compiled-in level against the ref:: oracles). Golden-history suites pin
+// kGeneric so their hard-coded arrays hold on any machine.
 
 #ifndef FEDRA_TENSOR_SIMD_DISPATCH_H_
 #define FEDRA_TENSOR_SIMD_DISPATCH_H_
@@ -43,11 +43,9 @@ namespace fedra {
 namespace simd {
 
 enum class Level {
-  kScalar = 0,
-  kGeneric = 1,
-  kAvx2 = 2,
-  kAvx512 = 3,
-  kNeon = 4,
+  kGeneric = 0,
+  kAvx2 = 1,
+  kAvx512 = 2,
 };
 
 /// Rows/cols of the packed GEMM micro-tile. ops.cc packs panels to this
@@ -86,7 +84,7 @@ Level ActiveLevel();
 void SetLevel(Level level);
 
 /// True when `level` is both compiled in and executable on this CPU.
-/// kScalar/kGeneric are always supported.
+/// kGeneric is always supported.
 bool LevelSupported(Level level);
 
 /// All supported levels, ascending (the bench sweep iterates this).

@@ -9,7 +9,7 @@
 // dispatch table in tensor/simd_dispatch.h — resolved once per process to
 // the best ISA tier the CPU supports (or FEDRA_SIMD), bit-deterministic per
 // tier. Reductions accumulate in double across independent lanes (four at
-// the portable tiers, more under AVX2/AVX-512/NEON) so results differ from
+// the portable tier, more under AVX2/AVX-512) so results differ from
 // a single-accumulator loop — and across tiers — only by floating-point
 // reassociation. The fused kernels (SubSquaredNorm, AxpyNorm) exist for the
 // FDA hot path: every local step computes a drift and its squared norm, and

@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <cstring>
 
 #include "util/check.h"
-
-#if defined(__linux__)
-#include <pthread.h>
-#include <sched.h>
-#endif
 
 namespace fedra {
 
@@ -74,35 +68,6 @@ inline void CpuRelax() {
 #endif
 }
 
-bool AffinityRequested() {
-  // Runs once per pool construction, before any worker exists; no setenv
-  // races it.
-  // NOLINTNEXTLINE(concurrency-mt-unsafe)
-  const char* env = std::getenv("FEDRA_AFFINITY");
-  if (env == nullptr || *env == '\0') {
-    return false;
-  }
-  return std::strcmp(env, "0") != 0 && std::strcmp(env, "off") != 0 &&
-         std::strcmp(env, "OFF") != 0;
-}
-
-// Pins the calling thread to one core so the worker→core slot is stable for
-// the life of the pool (first-touch locality depends on it). Modulo keeps
-// oversubscribed pools valid instead of failing the syscall.
-void PinCurrentThreadToCore(size_t worker_index) {
-#if defined(__linux__)
-  const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
-  cpu_set_t set;
-  CPU_ZERO(&set);
-  CPU_SET(static_cast<int>(worker_index % cores), &set);
-  // Best-effort: a restricted cpuset (container, taskset) can reject the
-  // core; the worker then just runs unpinned.
-  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
-#else
-  (void)worker_index;
-#endif
-}
-
 }  // namespace
 
 bool ThreadPool::OnPoolThread() { return tls_on_pool_thread; }
@@ -114,12 +79,9 @@ ThreadPool::ThreadPool(size_t num_threads) {
       num_threads = 1;
     }
   }
-  pin_affinity_ = AffinityRequested();
   deques_.reserve(num_threads);
-  inboxes_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
     deques_.push_back(std::make_unique<ChaseLevDeque<Task>>());
-    inboxes_.push_back(std::make_unique<Inbox>());
   }
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
@@ -139,13 +101,8 @@ ThreadPool::~ThreadPool() {
     thread.join();
   }
   // Workers drain everything before exiting; anything still here was pushed
-  // during shutdown. Deques delete their own leftovers; inboxes and the
-  // injector are plain containers of owned pointers.
-  for (auto& inbox : inboxes_) {
-    for (Task* task : inbox->tasks) {
-      delete task;
-    }
-  }
+  // during shutdown. Deques delete their own leftovers; the injector is a
+  // plain container of owned pointers.
   for (Task* task : injector_) {
     delete task;
   }
@@ -182,37 +139,6 @@ void ThreadPool::PushTask(std::function<void()> task) {
   work_available_.notify_one();
 }
 
-void ThreadPool::PushTaskTo(size_t index, std::function<void()> task) {
-  Task* owned = new Task(std::move(task));
-  if (tls_pool == this && tls_worker_index == index) {
-    // Same audit discipline as PushTask.
-    queued_.fetch_add(1, std::memory_order_release);
-    deques_[index]->PushBottom(owned);
-    {
-      std::lock_guard<std::mutex> lock(sleep_mutex_);
-    }
-    work_available_.notify_one();
-    return;
-  }
-  // Cross-thread targeted push: the inbox mutex makes it safe from any
-  // thread, and inbox occupancy is tracked per worker (not in queued_) so
-  // peers that can never take this task don't wake and spin on it.
-  Inbox& inbox = *inboxes_[index];
-  inbox.size.fetch_add(1, std::memory_order_release);
-  {
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    inbox.tasks.push_back(owned);
-  }
-  {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
-  }
-  // notify_one could wake a worker whose predicate is false (only worker
-  // `index` observes this inbox), and it would swallow the signal. Targeted
-  // pushes are rare placement work, so wake everyone and let the predicate
-  // sort it out.
-  work_available_.notify_all();
-}
-
 ThreadPool::Task* ThreadPool::TryPop(size_t preferred) {
   // 1. Own deque, LIFO — newest first keeps nested ParallelFor chunks hot
   // in the cache that just produced them.
@@ -220,18 +146,7 @@ ThreadPool::Task* ThreadPool::TryPop(size_t preferred) {
     queued_.fetch_sub(1, std::memory_order_acq_rel);
     return task;
   }
-  // 2. Own inbox: targeted placement work.
-  Inbox& inbox = *inboxes_[preferred];
-  if (inbox.size.load(std::memory_order_acquire) > 0) {
-    std::lock_guard<std::mutex> lock(inbox.mutex);
-    if (!inbox.tasks.empty()) {
-      Task* task = inbox.tasks.front();
-      inbox.tasks.pop_front();
-      inbox.size.fetch_sub(1, std::memory_order_acq_rel);
-      return task;
-    }
-  }
-  // 3. Injector: external submissions, FIFO across callers.
+  // 2. Injector: external submissions, FIFO across callers.
   {
     std::lock_guard<std::mutex> lock(injector_mutex_);
     if (!injector_.empty()) {
@@ -241,7 +156,7 @@ ThreadPool::Task* ThreadPool::TryPop(size_t preferred) {
       return task;
     }
   }
-  // 4. Steal FIFO from each peer's deque. A lost CAS race reads as empty —
+  // 3. Steal FIFO from each peer's deque. A lost CAS race reads as empty —
   // the winner decremented queued_, so the caller's re-check either finds
   // more work or sleeps on an accurate counter.
   const size_t num_queues = deques_.size();
@@ -258,10 +173,6 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
   tls_on_pool_thread = true;
   tls_pool = this;
   tls_worker_index = worker_index;
-  if (pin_affinity_) {
-    PinCurrentThreadToCore(worker_index);
-  }
-  Inbox& inbox = *inboxes_[worker_index];
   for (;;) {
     Task* task = TryPop(worker_index);
     if (task != nullptr) {
@@ -270,14 +181,12 @@ void ThreadPool::WorkerLoop(size_t worker_index) {
       continue;
     }
     std::unique_lock<std::mutex> lock(sleep_mutex_);
-    work_available_.wait(lock, [this, &inbox] {
+    work_available_.wait(lock, [this] {
       return shutting_down_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0 ||
-             inbox.size.load(std::memory_order_acquire) > 0;
+             queued_.load(std::memory_order_acquire) > 0;
     });
     if (shutting_down_.load(std::memory_order_acquire) &&
-        queued_.load(std::memory_order_acquire) == 0 &&
-        inbox.size.load(std::memory_order_acquire) == 0) {
+        queued_.load(std::memory_order_acquire) == 0) {
       return;  // shutting down and drained
     }
   }
@@ -288,22 +197,6 @@ void ThreadPool::Schedule(std::function<void()> task) {
       << "Schedule() after shutdown";
   scheduled_in_flight_.fetch_add(1, std::memory_order_acq_rel);
   PushTask([this, task = std::move(task)] {
-    task();
-    if (scheduled_in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-      std::lock_guard<std::mutex> lock(wait_mutex_);
-      scheduled_done_.notify_all();
-    }
-  });
-}
-
-void ThreadPool::ScheduleOn(size_t index, std::function<void()> task) {
-  FEDRA_CHECK(!shutting_down_.load(std::memory_order_acquire))
-      << "ScheduleOn() after shutdown";
-  FEDRA_CHECK(index < threads_.size())
-      << "worker index" << index << "out of range for pool of"
-      << threads_.size();
-  scheduled_in_flight_.fetch_add(1, std::memory_order_acq_rel);
-  PushTaskTo(index, [this, task = std::move(task)] {
     task();
     if (scheduled_in_flight_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
       std::lock_guard<std::mutex> lock(wait_mutex_);
@@ -355,19 +248,15 @@ void ThreadPool::ParallelForRange(
   // threads_ - 1 peers that could ever steal a runner.
   const size_t max_helpers = nested ? threads_.size() - 1 : threads_.size();
   const size_t helpers = std::min(state->num_chunks - 1, max_helpers);
+  // A nested call from a pool worker parks its helper runners on that
+  // worker's own deque (PushTask's lock-free owner push). Idle peers steal
+  // them (nested loops really parallelize); if nobody does, the caller
+  // drains every chunk itself below and the runners become no-ops.
+  // Deadlock-free: the caller only ever waits on chunks that are *running*
+  // on other workers, never on queued ones — RunChunks claims all remaining
+  // chunks before the wait starts.
   for (size_t t = 0; t < helpers; ++t) {
-    if (nested) {
-      // Nested call from a pool worker: park the helper runners on this
-      // worker's own deque (lock-free owner push). Idle peers steal them
-      // (nested loops really parallelize); if nobody does, the caller
-      // drains every chunk itself below and the runners become no-ops.
-      // Deadlock-free: the caller only ever waits on chunks that are
-      // *running* on other workers, never on queued ones — RunChunks
-      // claims all remaining chunks before the wait starts.
-      PushTaskTo(tls_worker_index, [state] { state->RunChunks(); });
-    } else {
-      PushTask([state] { state->RunChunks(); });
-    }
+    PushTask([state] { state->RunChunks(); });
   }
   state->RunChunks();
   // Wait for this call's chunks only. Chunks claimed by workers may still be

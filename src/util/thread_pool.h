@@ -10,25 +10,17 @@
 // Scheduling model: each worker owns a lock-free Chase-Lev deque
 // (util/chase_lev_deque.h) — the owner pushes and pops LIFO at the bottom,
 // idle peers steal FIFO from the top. Pushes from threads outside the pool
-// land in a mutex-guarded injector queue that any worker drains; targeted
-// tasks (ScheduleOn) land in the target worker's private inbox, which is
-// never stolen — that is what makes first-touch page placement addressable
-// (core/worker_arena.h). Every ParallelFor/ParallelForRange call carries its
-// own heap-owned completion token, so two independent callers on different
-// threads only ever wait for their *own* chunks — never each other's. The
-// calling thread participates in draining its own chunks, so a ParallelFor
-// makes progress even when every worker is busy with someone else's work.
+// land in a mutex-guarded injector queue that any worker drains. Every
+// ParallelFor/ParallelForRange call carries its own heap-owned completion
+// token, so two independent callers on different threads only ever wait
+// for their *own* chunks — never each other's. The calling thread
+// participates in draining its own chunks, so a ParallelFor makes progress
+// even when every worker is busy with someone else's work.
 // Once its chunks are claimed, the caller spins a fixed number of
 // pause-hinted polls on the call's completion counter before it sleeps on
 // the call's condition variable (a trainer round ends in one such wait; see
 // kCallerSpinIterations). The spin reads no clock and has no knob; a chunk
 // that outlasts it still completes through the condvar.
-//
-// Affinity: with FEDRA_AFFINITY set (anything but "0"/"off"), worker i pins
-// itself to core i modulo the online core count at startup (Linux only;
-// elsewhere the knob is accepted and ignored). Stable worker→core slots are
-// what turn first-touch placement into actual locality: the worker that
-// faulted a slab's pages is the worker that keeps computing on them.
 
 #ifndef FEDRA_UTIL_THREAD_POOL_H_
 #define FEDRA_UTIL_THREAD_POOL_H_
@@ -66,14 +58,7 @@ class ThreadPool {
   /// Enqueues a task; it runs on some pool thread.
   void Schedule(std::function<void()> task);
 
-  /// Enqueues a task that runs on worker `index` specifically — it goes to
-  /// that worker's inbox and is never stolen. For placement-sensitive work
-  /// (first-touch page zeroing, per-worker cache warmup). Tracked by Wait()
-  /// exactly like Schedule().
-  void ScheduleOn(size_t index, std::function<void()> task);
-
-  /// Blocks until all tasks passed to Schedule()/ScheduleOn() have
-  /// completed. ParallelFor chunks are tracked by their own per-call token
+  /// Blocks until all tasks passed to Schedule() have completed. ParallelFor chunks are tracked by their own per-call token
   /// and never count here.
   void Wait();
 
@@ -105,38 +90,20 @@ class ThreadPool {
   // pointers; whoever dequeues a task runs and deletes it.
   using Task = std::function<void()>;
 
-  // Targeted tasks for one worker. A plain mutex is fine here: the inbox
-  // carries rare, coarse placement work, not the steady-state task stream.
-  // `size` is the lock-free occupancy hint the sleep predicate and the pop
-  // fast path read.
-  struct Inbox {
-    std::mutex mutex;
-    std::deque<Task*> tasks;
-    std::atomic<size_t> size{0};
-  };
-
   void WorkerLoop(size_t worker_index);
-  // Pops from the bottom of the worker's own deque, then its inbox, then
-  // the injector, then steals from the top of each peer's deque. Returns
+  // Pops from the bottom of the worker's own deque, then the injector, then steals from the top of each peer's deque. Returns
   // nullptr when everything came up empty (a lost steal race also ends the
   // sweep empty-handed; the caller re-checks the occupancy counters).
   Task* TryPop(size_t preferred);
   // Stealable push: the calling worker's own deque when called from a pool
   // thread, else the injector. The backbone of Schedule and ParallelFor.
   void PushTask(std::function<void()> task);
-  // Push to one specific worker: its own deque when the caller *is* that
-  // worker (nested ParallelFor), else its inbox.
-  void PushTaskTo(size_t index, std::function<void()> task);
 
   std::vector<std::unique_ptr<ChaseLevDeque<Task>>> deques_;
-  std::vector<std::unique_ptr<Inbox>> inboxes_;
   std::vector<std::thread> threads_;
-  bool pin_affinity_ = false;
   std::mutex injector_mutex_;
   std::deque<Task*> injector_;
-  // Stealable tasks in flight: deques + injector. Inbox occupancy is
-  // per-worker (Inbox::size) so idle peers don't spin on work only one
-  // worker may take.
+  // Tasks in flight: deques + injector.
   std::atomic<size_t> queued_{0};
   std::mutex sleep_mutex_;
   std::condition_variable work_available_;

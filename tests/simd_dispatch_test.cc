@@ -1,14 +1,12 @@
 // Dispatch-matrix parity suite: force-runs every compiled-in SIMD level on
 // this machine (simd::SupportedLevels + simd::SetLevel) and checks each
 // dispatched kernel against its ref:: oracle to parity tolerance. Also pins
-// the two exact clauses of the determinism contract (docs/determinism.md):
-// a fixed level is bit-deterministic run-to-run, and kScalar == kGeneric
-// bit-for-bit on the flat-span kernels (they share the portable canonical
-// bodies). Sizes straddle every vector width's main-loop/remainder split so
-// tail handling is covered at all levels.
+// the exact clause of the determinism contract (docs/determinism.md): a
+// fixed level is bit-deterministic run-to-run. Sizes straddle every vector
+// width's main-loop/remainder split so tail handling is covered at all
+// levels.
 
 #include <cmath>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -59,12 +57,10 @@ class SimdDispatchTest : public ::testing::Test {
 };
 
 TEST_F(SimdDispatchTest, SupportedLevelsAlwaysIncludePortableTiers) {
-  EXPECT_TRUE(simd::LevelSupported(simd::Level::kScalar));
   EXPECT_TRUE(simd::LevelSupported(simd::Level::kGeneric));
   const auto levels = simd::SupportedLevels();
-  ASSERT_GE(levels.size(), 2u);
-  EXPECT_EQ(levels[0], simd::Level::kScalar);
-  EXPECT_EQ(levels[1], simd::Level::kGeneric);
+  ASSERT_GE(levels.size(), 1u);
+  EXPECT_EQ(levels[0], simd::Level::kGeneric);
   for (simd::Level level : levels) {
     EXPECT_TRUE(simd::LevelSupported(level)) << simd::LevelName(level);
   }
@@ -72,8 +68,7 @@ TEST_F(SimdDispatchTest, SupportedLevelsAlwaysIncludePortableTiers) {
 
 TEST_F(SimdDispatchTest, LevelNamesRoundTripThroughParse) {
   for (simd::Level level :
-       {simd::Level::kScalar, simd::Level::kGeneric, simd::Level::kAvx2,
-        simd::Level::kAvx512, simd::Level::kNeon}) {
+       {simd::Level::kGeneric, simd::Level::kAvx2, simd::Level::kAvx512}) {
     simd::Level parsed;
     ASSERT_TRUE(simd::ParseLevelName(simd::LevelName(level), &parsed))
         << simd::LevelName(level);
@@ -82,6 +77,9 @@ TEST_F(SimdDispatchTest, LevelNamesRoundTripThroughParse) {
   simd::Level parsed;
   EXPECT_FALSE(simd::ParseLevelName("sse9", &parsed));
   EXPECT_FALSE(simd::ParseLevelName("", &parsed));
+  // Only the three compiled-in tiers have names.
+  EXPECT_FALSE(simd::ParseLevelName("scalar", &parsed));
+  EXPECT_FALSE(simd::ParseLevelName("neon", &parsed));
 }
 
 TEST_F(SimdDispatchTest, SetLevelPublishesMatchingActiveLevel) {
@@ -260,39 +258,6 @@ TEST_F(SimdDispatchTest, FixedLevelIsBitDeterministicRunToRun) {
       // EXPECT_EQ, not NEAR: same level + same inputs must be the same bits.
       EXPECT_EQ(simd::Kernels().dot(a.data(), b.data(), n), first);
       EXPECT_EQ(simd::Kernels().squared_norm(a.data(), n), norm_first);
-    }
-  }
-}
-
-TEST_F(SimdDispatchTest, ScalarAndGenericAreBitIdenticalOnFlatSpanKernels) {
-  // kScalar and kGeneric dispatch to the same portable canonical bodies for
-  // the flat-span kernels, so they are bit-identical — the clause that lets
-  // golden-history suites pin kGeneric and still describe kScalar builds.
-  for (size_t n : kSizes) {
-    SCOPED_TRACE(::testing::Message() << "n=" << n);
-    const auto x = RandomVec(n, 7777 + n);
-    const auto b = RandomVec(n, 8888 + n);
-
-    simd::SetLevel(simd::Level::kScalar);
-    auto y_scalar = RandomVec(n, 9999 + n);
-    const double dot_scalar = simd::Kernels().dot(x.data(), b.data(), n);
-    const double axpy_scalar =
-        simd::Kernels().axpy_norm(0.61f, x.data(), y_scalar.data(), n);
-
-    simd::SetLevel(simd::Level::kGeneric);
-    auto y_generic = RandomVec(n, 9999 + n);
-    const double dot_generic = simd::Kernels().dot(x.data(), b.data(), n);
-    const double axpy_generic =
-        simd::Kernels().axpy_norm(0.61f, x.data(), y_generic.data(), n);
-
-    EXPECT_EQ(dot_scalar, dot_generic);
-    EXPECT_EQ(axpy_scalar, axpy_generic);
-    ASSERT_EQ(y_scalar.size(), y_generic.size());
-    // memcmp must not see the null data() of an empty vector, even for a
-    // zero-byte compare; every non-empty size is compared bitwise.
-    if (n > 0) {
-      EXPECT_EQ(0, std::memcmp(y_scalar.data(), y_generic.data(),
-                               n * sizeof(float)));
     }
   }
 }
