@@ -13,6 +13,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -380,7 +381,7 @@ BENCHMARK(BM_SubSquaredNorm)->Arg(1 << 14)->Arg(1 << 18);
 void BM_ParallelForOverhead(benchmark::State& state) {
   // Scheduler round-trip cost: fan a trivial chunked loop over the pool and
   // wait on its completion token. With --threads=1 this measures the inline
-  // fallback; with more threads, the push/steal/wake path.
+  // fallback; with more threads, the push/pop/wake path.
   const size_t n = static_cast<size_t>(state.range(0));
   std::vector<float> data(n, 1.0f);
   for (auto _ : state) {
@@ -802,23 +803,28 @@ int RunPopulationSweep(const std::string& path) {
 
 // ------------------------------------------------- hardware-limit sweeps --
 
-/// Median-free steady-state timing: warm up once, then grow the repetition
-/// count until one measured batch runs >= 25 ms, and report seconds per
-/// call. steady_clock measures elapsed time only; nothing is seeded from it.
+/// Steady-state timing: warm up once, grow the repetition count until one
+/// batch runs >= 25 ms, then time kTimingWindows batches of that many calls
+/// and report the median window's seconds per call, so one descheduled
+/// window on a shared host does not become the recorded number.
+/// steady_clock measures elapsed time only; nothing is seeded from it.
 double SecondsPerCall(const std::function<void()>& fn) {
+  constexpr int kTimingWindows = 5;
   fn();  // warm-up: faults pages, primes caches and the dispatch table
-  long reps = 1;
-  for (;;) {
+  auto time_batch = [&fn](long reps) {
     const auto start = std::chrono::steady_clock::now();
     for (long r = 0; r < reps; ++r) {
       fn();
     }
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      start)
-            .count();
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+  long reps = 1;
+  for (;;) {
+    const double seconds = time_batch(reps);
     if (seconds >= 0.025) {
-      return seconds / static_cast<double>(reps);
+      break;
     }
     // Aim past the threshold with margin; cap growth for very fast calls.
     const double target = 0.035;
@@ -828,6 +834,13 @@ double SecondsPerCall(const std::function<void()>& fn) {
                                    seconds) +
                      1;
   }
+  std::vector<double> windows(kTimingWindows);
+  for (double& window : windows) {
+    window = time_batch(reps) / static_cast<double>(reps);
+  }
+  std::nth_element(windows.begin(), windows.begin() + kTimingWindows / 2,
+                   windows.end());
+  return windows[kTimingWindows / 2];
 }
 
 /// Writes BENCH_kernels.json: every dispatched kernel timed at every SIMD
@@ -1075,9 +1088,9 @@ int RunCompressionSweep(const std::string& path) {
   return 0;
 }
 
-/// Writes BENCH_scheduler.json: Chase-Lev pool throughput at 1, 4, and 16
+/// Writes BENCH_scheduler.json: thread-pool throughput at 1, 4, and 16
 /// threads. Two workloads per size: a chunked ParallelForRange sweep over a
-/// 4M-float buffer (elements/s — fan-out, steal, and completion-token cost
+/// 4M-float buffer (elements/s — fan-out, queue, and completion-token cost
 /// amortized over real reads) and a burst of 4096 trivial Schedule()d tasks
 /// plus Wait() (tasks/s — per-task push/pop/wake cost, nothing amortized).
 int RunSchedulerSweep(const std::string& path) {

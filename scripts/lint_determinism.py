@@ -5,9 +5,8 @@ FDA histories are specified to be bit-identical across FEDRA_NUM_THREADS
 settings and fault schedules (see docs/determinism.md). That only holds
 while every stochastic or order-sensitive construct goes through the
 blessed mechanisms: seeded util/rng streams, the fixed-chunk reduction
-helpers, and the work-stealing ThreadPool. This lint walks C++ sources and
-fails on the constructs that historically smuggle nondeterminism into FL
-codebases:
+helpers, and the ThreadPool. This lint walks C++ sources and fails on the
+constructs that historically smuggle nondeterminism into FL codebases:
 
   std-rand            C PRNG (rand/srand/std::rand): global hidden state,
                       not forkable per worker, often time-seeded.

@@ -448,8 +448,9 @@ inline void TapRange(int w0, int stride, int in_w, int ow, int* x_lo,
 }
 
 // Fans plane-granular work over the global pool when the total is big
-// enough to amortize the wake/wait round-trip (ParallelFor already inlines
-// nested and single-thread calls).
+// enough to amortize the wake/wait round-trip (ParallelFor runs inline on a
+// 1-thread pool; called from a pool worker, it queues helpers for idle peers
+// and drains the rest itself).
 constexpr size_t kPlaneParallelThreshold = size_t{1} << 15;
 
 void ForEachPlane(size_t planes, size_t work_per_plane,

@@ -1,7 +1,11 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
+#include <memory>
+#include <string>
 
 #include "util/check.h"
 
@@ -9,13 +13,10 @@ namespace fedra {
 
 namespace {
 
-thread_local bool tls_on_pool_thread = false;
-// Which pool (and worker index) the current thread belongs to. A nested
-// ParallelFor on the *same* pool can then feed its own deque so idle peers
-// steal the chunks instead of the whole loop running inline; PushTask from a
-// worker likewise goes to the worker's own deque instead of the injector.
-thread_local const void* tls_pool = nullptr;
-thread_local size_t tls_worker_index = 0;
+// The pool the current thread is a worker of, or null. A nested
+// ParallelFor on the *same* pool queues helpers like any caller; one from a
+// worker of a different pool runs inline.
+thread_local const ThreadPool* tls_pool = nullptr;
 
 // Completion token for one ParallelForRange call. Heap-owned (shared_ptr)
 // because runner tasks can outlive the call: once every chunk is claimed the
@@ -70,7 +71,7 @@ inline void CpuRelax() {
 
 }  // namespace
 
-bool ThreadPool::OnPoolThread() { return tls_on_pool_thread; }
+bool ThreadPool::OnPoolThread() { return tls_pool != nullptr; }
 
 ThreadPool::ThreadPool(size_t num_threads) {
   if (num_threads == 0) {
@@ -79,116 +80,51 @@ ThreadPool::ThreadPool(size_t num_threads) {
       num_threads = 1;
     }
   }
-  deques_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    deques_.push_back(std::make_unique<ChaseLevDeque<Task>>());
-  }
   threads_.reserve(num_threads);
   for (size_t i = 0; i < num_threads; ++i) {
-    threads_.emplace_back([this, i] { WorkerLoop(i); });
+    threads_.emplace_back([this] { WorkerLoop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
-  shutting_down_.store(true, std::memory_order_release);
   {
-    // Fence against a worker that has checked the predicate but not yet gone
-    // to sleep; see PushTask for the same idiom.
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    // Written under the queue mutex so no worker can check the wait
+    // predicate between this store and its sleep, then miss the notify.
+    std::lock_guard<std::mutex> lock(mutex_);
+    shutting_down_.store(true, std::memory_order_release);
   }
   work_available_.notify_all();
+  // Workers exit only once the queue is empty, so every queued task runs.
   for (auto& thread : threads_) {
     thread.join();
-  }
-  // Workers drain everything before exiting; anything still here was pushed
-  // during shutdown. Deques delete their own leftovers; the injector is a
-  // plain container of owned pointers.
-  for (Task* task : injector_) {
-    delete task;
   }
 }
 
 void ThreadPool::PushTask(std::function<void()> task) {
-  // Sleep/wake audit (TSan leg + SleepWakeHandoff* regression tests): the
-  // pusher increments the occupancy counter, enqueues, then toggles
-  // sleep_mutex_ before notifying. A worker sleeps only after re-checking
-  // the counters *under* sleep_mutex_ (WorkerLoop's wait predicate), so for
-  // any interleaving either (a) the worker takes sleep_mutex_ after the
-  // pusher's toggle and the predicate sees occupancy > 0 — no sleep — or
-  // (b) the worker is already parked inside wait() when the pusher toggles,
-  // and the notify reaches it. The toggle is what closes the classic
-  // atomic-then-sleep lost-wakeup window between a failed TryPop and the
-  // wait() call; do not "optimize away" the empty lock_guard below.
-  //
-  // Publish the count before the task so queued_ never underflows when a
-  // worker pops between the two writes; a transiently high count only costs
-  // a spurious wakeup.
-  Task* owned = new Task(std::move(task));
-  queued_.fetch_add(1, std::memory_order_release);
-  if (tls_pool == this) {
-    // Worker push: lock-free onto the caller's own deque (it is the only
-    // thread that ever pushes there — the Chase-Lev ownership contract).
-    deques_[tls_worker_index]->PushBottom(owned);
-  } else {
-    std::lock_guard<std::mutex> lock(injector_mutex_);
-    injector_.push_back(owned);
-  }
   {
-    std::lock_guard<std::mutex> lock(sleep_mutex_);
+    std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
   work_available_.notify_one();
 }
 
-ThreadPool::Task* ThreadPool::TryPop(size_t preferred) {
-  // 1. Own deque, LIFO — newest first keeps nested ParallelFor chunks hot
-  // in the cache that just produced them.
-  if (Task* task = deques_[preferred]->PopBottom()) {
-    queued_.fetch_sub(1, std::memory_order_acq_rel);
-    return task;
-  }
-  // 2. Injector: external submissions, FIFO across callers.
-  {
-    std::lock_guard<std::mutex> lock(injector_mutex_);
-    if (!injector_.empty()) {
-      Task* task = injector_.front();
-      injector_.pop_front();
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return task;
-    }
-  }
-  // 3. Steal FIFO from each peer's deque. A lost CAS race reads as empty —
-  // the winner decremented queued_, so the caller's re-check either finds
-  // more work or sleeps on an accurate counter.
-  const size_t num_queues = deques_.size();
-  for (size_t offset = 1; offset < num_queues; ++offset) {
-    if (Task* task = deques_[(preferred + offset) % num_queues]->Steal()) {
-      queued_.fetch_sub(1, std::memory_order_acq_rel);
-      return task;
-    }
-  }
-  return nullptr;
-}
-
-void ThreadPool::WorkerLoop(size_t worker_index) {
-  tls_on_pool_thread = true;
+void ThreadPool::WorkerLoop() {
   tls_pool = this;
-  tls_worker_index = worker_index;
   for (;;) {
-    Task* task = TryPop(worker_index);
-    if (task != nullptr) {
-      (*task)();
-      delete task;
-      continue;
+    std::function<void()> task;
+    {
+      std::unique_lock<std::mutex> lock(mutex_);
+      work_available_.wait(lock, [this] {
+        return !tasks_.empty() ||
+               shutting_down_.load(std::memory_order_relaxed);
+      });
+      if (tasks_.empty()) {
+        return;  // shutting down and drained
+      }
+      task = std::move(tasks_.front());
+      tasks_.pop_front();
     }
-    std::unique_lock<std::mutex> lock(sleep_mutex_);
-    work_available_.wait(lock, [this] {
-      return shutting_down_.load(std::memory_order_acquire) ||
-             queued_.load(std::memory_order_acquire) > 0;
-    });
-    if (shutting_down_.load(std::memory_order_acquire) &&
-        queued_.load(std::memory_order_acquire) == 0) {
-      return;  // shutting down and drained
-    }
+    task();
   }
 }
 
@@ -231,10 +167,10 @@ void ThreadPool::ParallelForRange(
   const bool nested = tls_pool == this;
   // Inline when parallelism can't help: trivially small loops, a
   // single-thread pool, or a caller that is a worker of a *different* pool
-  // (feeding this pool's deques from there and blocking would risk
+  // (feeding this pool's queue from there and blocking would risk
   // cross-pool cycles; this never happens with the single global pool).
   if (n <= grain || threads_.size() == 1 ||
-      (OnPoolThread() && !nested)) {
+      (tls_pool != nullptr && !nested)) {
     body(0, n);
     return;
   }
@@ -245,13 +181,13 @@ void ThreadPool::ParallelForRange(
   state->body = body;
   // The caller is one runner, so at most num_chunks - 1 helpers are useful —
   // and a nested caller occupies one worker itself, leaving only
-  // threads_ - 1 peers that could ever steal a runner.
+  // threads_ - 1 peers that could ever pick up a runner.
   const size_t max_helpers = nested ? threads_.size() - 1 : threads_.size();
   const size_t helpers = std::min(state->num_chunks - 1, max_helpers);
-  // A nested call from a pool worker parks its helper runners on that
-  // worker's own deque (PushTask's lock-free owner push). Idle peers steal
-  // them (nested loops really parallelize); if nobody does, the caller
-  // drains every chunk itself below and the runners become no-ops.
+  // A nested call from a pool worker queues its helper runners on the same
+  // FIFO as every other call. Idle peers pick them up (nested loops really
+  // parallelize); if nobody does, the caller drains every chunk itself
+  // below and the runners become no-ops when they finally run.
   // Deadlock-free: the caller only ever waits on chunks that are *running*
   // on other workers, never on queued ones — RunChunks claims all remaining
   // chunks before the wait starts.
@@ -285,7 +221,33 @@ void ThreadPool::ParallelFor2d(
 }
 
 namespace {
+
 std::atomic<size_t> g_global_pool_threads{0};
+
+// Largest FEDRA_NUM_THREADS accepted: far above any host this runs on, low
+// enough that a typo cannot start tens of thousands of threads.
+constexpr size_t kMaxEnvThreads = 1024;
+
+// FEDRA_NUM_THREADS as a pool size: 0 (the default) when unset or empty,
+// else a whole decimal number in [1, kMaxEnvThreads]; anything else aborts.
+size_t EnvThreads() {
+  // Runs exactly once, inside the static-local initializer, before any
+  // pool thread exists — no concurrent setenv can race it.
+  // NOLINTNEXTLINE(concurrency-mt-unsafe)
+  const char* env = std::getenv("FEDRA_NUM_THREADS");
+  if (env == nullptr || *env == '\0') {
+    return 0;
+  }
+  const char* end = env + std::strlen(env);
+  size_t n = 0;
+  const auto [parsed_end, error] = std::from_chars(env, end, n);
+  FEDRA_CHECK(error == std::errc() && parsed_end == end && n >= 1 &&
+              n <= kMaxEnvThreads)
+      << "FEDRA_NUM_THREADS=\"" + std::string(env) +
+             "\" is not a thread count (want a whole number in [1, 1024])";
+  return n;
+}
+
 }  // namespace
 
 void SetGlobalThreadPoolThreads(size_t num_threads) {
@@ -294,16 +256,8 @@ void SetGlobalThreadPoolThreads(size_t num_threads) {
 
 ThreadPool& GlobalThreadPool() {
   static ThreadPool pool([] {
-    size_t n = g_global_pool_threads.load(std::memory_order_acquire);
-    if (n == 0) {
-      // Runs exactly once, inside the static-local initializer, before any
-      // pool thread exists — no concurrent setenv can race it.
-      // NOLINTNEXTLINE(concurrency-mt-unsafe)
-      if (const char* env = std::getenv("FEDRA_NUM_THREADS")) {
-        n = static_cast<size_t>(std::strtoul(env, nullptr, 10));
-      }
-    }
-    return n;
+    const size_t n = g_global_pool_threads.load(std::memory_order_acquire);
+    return n != 0 ? n : EnvThreads();
   }());
   return pool;
 }

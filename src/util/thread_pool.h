@@ -1,16 +1,16 @@
-// Work-stealing thread pool with chunked ParallelFor conveniences.
+// Thread pool with one FIFO task queue and chunked ParallelFor conveniences.
 //
 // The simulated cluster runs every round's worker-local training steps in
 // parallel; determinism is preserved because each worker owns its forked Rng
 // stream and workers never share mutable state within a step. The tensor
 // backend also uses the pool (GEMM row x column tile grid), so ParallelFor is
-// re-entrancy safe: a call made from inside a pool worker runs inline instead
-// of deadlocking on its completion token.
+// re-entrancy safe: a nested call made from inside one of this pool's workers
+// queues its helpers like any other call and the caller drains every
+// unclaimed chunk itself, so it never waits on queued work.
 //
-// Scheduling model: each worker owns a lock-free Chase-Lev deque
-// (util/chase_lev_deque.h) — the owner pushes and pops LIFO at the bottom,
-// idle peers steal FIFO from the top. Pushes from threads outside the pool
-// land in a mutex-guarded injector queue that any worker drains. Every
+// Scheduling model: one std::deque of tasks, guarded by one mutex; idle
+// workers sleep on one condition variable and pop FIFO. ParallelFor balances
+// load through a per-call shared chunk counter, not through the queue: every
 // ParallelFor/ParallelForRange call carries its own heap-owned completion
 // token, so two independent callers on different threads only ever wait
 // for their *own* chunks — never each other's. The calling thread
@@ -30,12 +30,9 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
-
-#include "util/chase_lev_deque.h"
 
 namespace fedra {
 
@@ -44,6 +41,7 @@ class ThreadPool {
   /// Creates `num_threads` workers; 0 means std::thread::hardware_concurrency
   /// (at least 1).
   explicit ThreadPool(size_t num_threads = 0);
+  /// Runs every task still queued, then joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -51,25 +49,25 @@ class ThreadPool {
 
   size_t num_threads() const { return threads_.size(); }
 
-  /// True when the calling thread is a worker of *some* ThreadPool. Used to
-  /// run nested parallel loops inline.
+  /// True when the calling thread is a worker of *some* ThreadPool. GEMM
+  /// uses it to keep its tile grid off pool threads.
   static bool OnPoolThread();
 
   /// Enqueues a task; it runs on some pool thread.
   void Schedule(std::function<void()> task);
 
-  /// Blocks until all tasks passed to Schedule() have completed. ParallelFor chunks are tracked by their own per-call token
-  /// and never count here.
+  /// Blocks until all tasks passed to Schedule() have completed. ParallelFor
+  /// chunks are tracked by their own per-call token and never count here.
   void Wait();
 
   /// Runs body(i) for i in [0, n), distributing across the pool and blocking
   /// until done. Indices are handed out `grain` at a time so fine-grained
   /// loops don't pay one queue round-trip per index. Runs inline when the
   /// pool has one thread or n <= grain. A nested call from one of this
-  /// pool's own workers pushes its helper runners onto that worker's own
-  /// deque — idle peers steal them, so nested loops (a GEMM inside a
-  /// parallel worker step) still fan out; the caller drains all remaining
-  /// chunks itself, so an all-busy pool degrades to the old inline behavior.
+  /// pool's own workers queues its helper runners on the same FIFO, where
+  /// idle peers pick them up, so nested loops (a GEMM inside a parallel
+  /// worker step) still fan out; the caller drains all remaining chunks
+  /// itself, so on an all-busy pool the nested loop runs on the caller.
   void ParallelFor(size_t n, const std::function<void(size_t)>& body,
                    size_t grain = 1);
 
@@ -86,36 +84,26 @@ class ThreadPool {
                      const std::function<void(size_t, size_t)>& body);
 
  private:
-  // Tasks are heap-allocated so the Chase-Lev cells hold fixed-size atomic
-  // pointers; whoever dequeues a task runs and deletes it.
-  using Task = std::function<void()>;
-
-  void WorkerLoop(size_t worker_index);
-  // Pops from the bottom of the worker's own deque, then the injector, then steals from the top of each peer's deque. Returns
-  // nullptr when everything came up empty (a lost steal race also ends the
-  // sweep empty-handed; the caller re-checks the occupancy counters).
-  Task* TryPop(size_t preferred);
-  // Stealable push: the calling worker's own deque when called from a pool
-  // thread, else the injector. The backbone of Schedule and ParallelFor.
+  void WorkerLoop();
+  // Appends a task to the queue and wakes one sleeping worker. The backbone
+  // of Schedule and ParallelFor.
   void PushTask(std::function<void()> task);
 
-  std::vector<std::unique_ptr<ChaseLevDeque<Task>>> deques_;
   std::vector<std::thread> threads_;
-  std::mutex injector_mutex_;
-  std::deque<Task*> injector_;
-  // Tasks in flight: deques + injector.
-  std::atomic<size_t> queued_{0};
-  std::mutex sleep_mutex_;
+  std::mutex mutex_;  // guards tasks_; shutting_down_ is written under it
   std::condition_variable work_available_;
+  std::deque<std::function<void()>> tasks_;
+  std::atomic<bool> shutting_down_{false};
   std::atomic<size_t> scheduled_in_flight_{0};  // Schedule()d tasks only
   std::mutex wait_mutex_;
   std::condition_variable scheduled_done_;
-  std::atomic<bool> shutting_down_{false};
 };
 
 /// Process-wide pool for library internals. Sized, in order of precedence, by
 /// SetGlobalThreadPoolThreads(), the FEDRA_NUM_THREADS environment variable,
-/// or hardware concurrency.
+/// or hardware concurrency. FEDRA_NUM_THREADS, when set and non-empty, must
+/// be a whole decimal number in [1, 1024]; anything else aborts before the
+/// pool starts a thread.
 ThreadPool& GlobalThreadPool();
 
 /// Overrides the size of the lazily created global pool. Must be called

@@ -123,6 +123,17 @@ uint64_t Bits(double value) {
   return bits;
 }
 
+// Starts this binary's tests matching `gtest_filter` in a sweep child at
+// FEDRA_NUM_THREADS=`value`; `stderr_redirect` says where its stderr goes.
+FILE* OpenChild(const std::string& value, const std::string& gtest_filter,
+                const char* stderr_redirect) {
+  const std::string command = std::string(kSweepChildEnv) +
+                              "=1 FEDRA_NUM_THREADS='" + value + "' '" +
+                              SelfExecutable() + "' --gtest_filter='" +
+                              gtest_filter + "' " + stderr_redirect;
+  return popen(command.c_str(), "r");
+}
+
 }  // namespace
 
 bool SkipThreadSweep() {
@@ -131,12 +142,8 @@ bool SkipThreadSweep() {
 
 std::string RunWithThreads(int threads, const std::string& gtest_filter,
                            const std::string& tag) {
-  const std::string command = std::string(kSweepChildEnv) +
-                              "=1 FEDRA_NUM_THREADS=" +
-                              std::to_string(threads) + " '" +
-                              SelfExecutable() + "' --gtest_filter='" +
-                              gtest_filter + "' 2>/dev/null";
-  FILE* pipe = popen(command.c_str(), "r");
+  FILE* pipe =
+      OpenChild(std::to_string(threads), gtest_filter, "2>/dev/null");
   if (pipe == nullptr) {
     return "child-failed";
   }
@@ -156,6 +163,20 @@ std::string RunWithThreads(int threads, const std::string& gtest_filter,
     return "child-failed";
   }
   return value;
+}
+
+int RunWithThreadsValue(const std::string& value,
+                        const std::string& gtest_filter, std::string* output) {
+  output->clear();
+  FILE* pipe = OpenChild(value, gtest_filter, "2>&1");
+  if (pipe == nullptr) {
+    return -1;
+  }
+  char chunk[256];
+  while (std::fgets(chunk, sizeof(chunk), pipe) != nullptr) {
+    output->append(chunk);
+  }
+  return pclose(pipe);
 }
 
 std::string HexHash(uint64_t hash) {

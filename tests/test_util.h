@@ -103,6 +103,14 @@ bool SkipThreadSweep();
 std::string RunWithThreads(int threads, const std::string& gtest_filter,
                            const std::string& tag);
 
+/// Runs the tests matching `gtest_filter` of this binary in a child process
+/// with FEDRA_NUM_THREADS set to `value` verbatim (it need not be a valid
+/// count). Stores what the child printed to stdout and stderr in `output`
+/// and returns its pclose status: 0 for a clean exit, -1 when it could not
+/// start.
+int RunWithThreadsValue(const std::string& value,
+                        const std::string& gtest_filter, std::string* output);
+
 /// The "%016llx" spelling of a hash, as sweep children print it.
 std::string HexHash(uint64_t hash);
 

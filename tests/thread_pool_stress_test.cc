@@ -1,11 +1,11 @@
-// Stress and regression tests for the work-stealing ThreadPool.
+// Stress and regression tests for the ThreadPool.
 //
 // The central regression: the old pool had one pool-wide in-flight counter,
 // so Wait() inside ParallelFor blocked until *every* queued task finished —
 // two independent callers on different threads each waited for the other's
-// chunks. The work-stealing pool gives every ParallelFor call its own
-// completion token, so a caller returns as soon as its own indices complete
-// even while another caller's tasks are still running.
+// chunks. The pool gives every ParallelFor call its own completion token,
+// so a caller returns as soon as its own indices complete even while
+// another caller's tasks are still running.
 
 #include <atomic>
 #include <chrono>
@@ -142,7 +142,7 @@ TEST(ThreadPoolStressTest, ConcurrentRangeCallsAreDisjointAndComplete) {
 
 TEST(ThreadPoolStressTest, NestedCallFromWorkerCoversAllIndices) {
   // Nested ParallelFor from a pool worker used to run fully inline; it now
-  // parks helper runners on the worker's own deque. Either way every index
+  // queues helper runners for idle peers. Either way every index
   // must execute exactly once per call, with no deadlock under deep
   // nesting.
   ThreadPool pool(4);
@@ -163,11 +163,11 @@ TEST(ThreadPoolStressTest, NestedCallFromWorkerCoversAllIndices) {
 
 TEST(ThreadPoolStressTest, NestedChunksCanBeStolenByIdlePeers) {
   // Regression for the ROADMAP scheduler gap: a nested ParallelFor called
-  // from a pool worker pushes its chunk runners onto that worker's own
-  // deque, so idle peers can steal them. Two nested chunks rendezvous —
-  // each blocks until both have started, which is only possible when a
-  // second thread picks up the stolen runner. The fully-inline behavior
-  // this replaces would time the rendezvous out.
+  // from a pool worker queues its chunk runners, so idle peers can pick
+  // them up. Two nested chunks rendezvous — each blocks until both have
+  // started, which is only possible when a second thread picks up the
+  // queued runner. The fully-inline behavior this replaces would time the
+  // rendezvous out.
   ThreadPool pool(4);
   std::mutex m;
   std::condition_variable cv;
@@ -186,20 +186,20 @@ TEST(ThreadPoolStressTest, NestedChunksCanBeStolenByIdlePeers) {
   });
   pool.Wait();
   EXPECT_TRUE(rendezvous_ok.load())
-      << "nested chunks were not stealable by idle workers";
+      << "nested chunks were not picked up by idle workers";
   EXPECT_EQ(arrived, 2);
 }
 
 TEST(ThreadPoolStressTest, SleepWakeHandoffNeverLosesAWakeup) {
   // Regression for the PushTask/WorkerLoop sleep handoff (the
-  // atomic-then-sleep window): a worker that found every deque empty
-  // re-checks `queued_` under sleep_mutex_ before sleeping, and every
-  // pusher increments `queued_` *before* toggling sleep_mutex_ and
-  // notifying. If either side of that protocol regressed, a push landing
-  // exactly between a worker's failed TryPop and its wait() would be lost
-  // and this ping-pong — one task at a time, workers asleep in between —
-  // would hang until the ctest timeout. 2000 cycles cross the window far
-  // more often than the one-task-per-burst pattern of real callers.
+  // check-then-sleep window): a worker checks the queue and goes to sleep
+  // under one mutex, and every pusher enqueues under that same mutex
+  // before notifying. If either side of that protocol regressed, a push
+  // landing exactly between a worker's empty check and its wait() would be
+  // lost and this ping-pong — one task at a time, workers asleep in
+  // between — would hang until the ctest timeout. 2000 cycles cross the
+  // window far more often than the one-task-per-burst pattern of real
+  // callers.
   ThreadPool pool(2);
   for (int cycle = 0; cycle < 2000; ++cycle) {
     std::atomic<bool> ran{false};
@@ -337,7 +337,7 @@ TEST(ThreadPoolStressTest, LastChunkOutlastingTheSpinFallsBackToCondvar) {
 
 TEST(ThreadPoolStressTest, NestedCallMakesProgressWithEveryPeerBlocked) {
   // A nested ParallelFor from a pool worker whose peers are all parked on
-  // a gate has nobody to steal its runners: the nested caller drains every
+  // a gate has nobody to run its helpers: the nested caller drains every
   // chunk itself, its spin sees the counter complete, and it returns while
   // the gate is still closed.
   ThreadPool pool(3);
@@ -368,6 +368,37 @@ TEST(ThreadPoolStressTest, NestedCallMakesProgressWithEveryPeerBlocked) {
   }
   gate_cv.notify_all();
   pool.Wait();
+}
+
+TEST(ThreadPoolStressTest, DestructorRunsEveryQueuedTask) {
+  // Shutdown drains the queue: a burst still queued behind blocked workers
+  // when the pool is destroyed, with no Wait(), must run in full before the
+  // destructor returns. The workers are released only after destruction
+  // has begun.
+  constexpr int kWorkers = 2;
+  constexpr int kTasks = 2000;
+  std::atomic<int> executed{0};
+  std::atomic<bool> release{false};
+  std::thread releaser;
+  {
+    ThreadPool pool(kWorkers);
+    for (int w = 0; w < kWorkers; ++w) {
+      pool.Schedule([&] {
+        while (!release.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
+      });
+    }
+    for (int i = 0; i < kTasks; ++i) {
+      pool.Schedule([&] { executed.fetch_add(1, std::memory_order_relaxed); });
+    }
+    releaser = std::thread([&] {
+      std::this_thread::sleep_for(50ms);
+      release.store(true, std::memory_order_release);
+    });
+  }
+  releaser.join();
+  EXPECT_EQ(executed.load(), kTasks);
 }
 
 }  // namespace

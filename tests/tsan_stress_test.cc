@@ -3,15 +3,14 @@
 // Every test here is correct under the pool's documented contract and is
 // deliberately shaped to give TSan the interleavings where a latent race
 // would hide: many simultaneous ParallelFor callers on one pool, nested
-// loops whose chunk runners are stolen mid-flight, multi-producer
-// Schedule bursts hammering the sleep/wake path, and a full trainer
+// loops whose chunk runners idle peers pick up mid-flight, multi-producer
+// Schedule bursts hammering the queue's sleep/wake path, and a full trainer
 // cohort (shared ModelGraph + one WorkerArena + survivor-subset
 // collectives) stepping under churn and message loss. The suite also runs
 // in the plain and ASan legs, where it doubles as a scheduler soak test.
 
 #include <atomic>
 #include <cstddef>
-#include <cstdint>
 #include <thread>
 #include <vector>
 
@@ -22,167 +21,10 @@
 #include "data/synth.h"
 #include "nn/zoo.h"
 #include "sim/fault_model.h"
-#include "util/chase_lev_deque.h"
 #include "util/thread_pool.h"
 
 namespace fedra {
 namespace {
-
-// Chase-Lev regressions drive the deque directly (not through the pool) so
-// the protocol's three hard spots get undiluted contention: thief-vs-thief
-// steal storms, the owner-pop vs steal CAS arbitration on the last element,
-// and Grow() republishing the ring under concurrent steals.
-
-TEST(ChaseLevDequeTest, StealStormDeliversEveryItemExactlyOnce) {
-  // One owner pushes while four thieves hammer Steal() the whole time. Every
-  // pushed value must surface exactly once across owner pops and steals —
-  // a double-delivery is a logic bug, and any unsynchronized cell handoff
-  // is a TSan report on the int64_t payload.
-  constexpr int kThieves = 4;
-  constexpr int kItems = 8000;
-  ChaseLevDeque<int64_t> deque(/*initial_capacity=*/64);
-  std::vector<std::atomic<int>> seen(kItems);
-  for (auto& s : seen) {
-    s.store(0, std::memory_order_relaxed);
-  }
-  std::atomic<int> delivered{0};
-  std::atomic<bool> done_pushing{false};
-  auto consume = [&](int64_t* item) {
-    seen[static_cast<size_t>(*item)].fetch_add(1, std::memory_order_relaxed);
-    delivered.fetch_add(1, std::memory_order_relaxed);
-    delete item;
-  };
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (delivered.load(std::memory_order_relaxed) < kItems) {
-        if (int64_t* item = deque.Steal()) {
-          consume(item);
-        } else {
-          // Empty or lost race; yield so the owner gets cycles to push
-          // (this box may be single-core).
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  for (int i = 0; i < kItems; ++i) {
-    deque.PushBottom(new int64_t(i));
-    if (i % 7 == 0) {
-      // Owner pops too, so the LIFO end contends with the FIFO end.
-      if (int64_t* item = deque.PopBottom()) {
-        consume(item);
-      }
-    }
-  }
-  done_pushing.store(true, std::memory_order_release);
-  while (delivered.load(std::memory_order_relaxed) < kItems) {
-    if (int64_t* item = deque.PopBottom()) {
-      consume(item);
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& thief : thieves) {
-    thief.join();
-  }
-  for (int i = 0; i < kItems; ++i) {
-    ASSERT_EQ(seen[static_cast<size_t>(i)].load(), 1) << "item " << i;
-  }
-}
-
-TEST(ChaseLevDequeTest, LastElementRaceResolvesToExactlyOneTaker) {
-  // The hardest interleaving: a deque holding exactly one item, with the
-  // owner popping and a thief stealing simultaneously. The seq-cst CAS
-  // arbitration must hand the item to exactly one side, every round.
-  constexpr int kRounds = 5000;
-  ChaseLevDeque<int64_t> deque(/*initial_capacity=*/64);
-  // 2*round arms the thief for that round, 2*round + 1 means it answered.
-  // Starts at -1 (nothing armed): if it started at 0 the thief could run
-  // round 0 against an empty deque before the owner's first push, and the
-  // owner's own store of 0 would then erase the thief's answer — both sides
-  // would wait on each other forever.
-  std::atomic<int> round_token{-1};
-  std::atomic<int64_t*> stolen{nullptr};
-  std::atomic<bool> shutdown{false};
-  std::thread thief([&] {
-    int expected_round = 0;
-    while (!shutdown.load(std::memory_order_acquire)) {
-      if (round_token.load(std::memory_order_acquire) == 2 * expected_round) {
-        stolen.store(deque.Steal(), std::memory_order_release);
-        round_token.store(2 * expected_round + 1, std::memory_order_release);
-        ++expected_round;
-      } else {
-        std::this_thread::yield();
-      }
-    }
-  });
-  for (int round = 0; round < kRounds; ++round) {
-    deque.PushBottom(new int64_t(round));
-    round_token.store(2 * round, std::memory_order_release);  // arm thief
-    int64_t* popped = deque.PopBottom();
-    while (round_token.load(std::memory_order_acquire) != 2 * round + 1) {
-      std::this_thread::yield();
-    }
-    int64_t* theirs = stolen.load(std::memory_order_acquire);
-    // Exactly one taker, never both, never neither.
-    ASSERT_TRUE((popped != nullptr) != (theirs != nullptr)) << "round "
-                                                            << round;
-    int64_t* item = popped != nullptr ? popped : theirs;
-    ASSERT_EQ(*item, round);
-    delete item;
-  }
-  shutdown.store(true, std::memory_order_release);
-  thief.join();
-}
-
-TEST(ChaseLevDequeTest, GrowUnderConcurrentStealsLosesNothing) {
-  // Start at the minimum capacity and push far past it while thieves run:
-  // Grow() copies the live range into a doubled ring and release-publishes
-  // it mid-steal. A steal reading the stale ring must still see its cell
-  // (retired rings outlive the deque), and no item may vanish in the copy.
-  constexpr int kThieves = 3;
-  constexpr int kItems = 20000;
-  ChaseLevDeque<int64_t> deque(/*initial_capacity=*/2);
-  std::atomic<int64_t> sum{0};
-  std::atomic<int> delivered{0};
-  std::vector<std::thread> thieves;
-  thieves.reserve(kThieves);
-  for (int t = 0; t < kThieves; ++t) {
-    thieves.emplace_back([&] {
-      while (delivered.load(std::memory_order_relaxed) < kItems) {
-        if (int64_t* item = deque.Steal()) {
-          sum.fetch_add(*item, std::memory_order_relaxed);
-          delivered.fetch_add(1, std::memory_order_relaxed);
-          delete item;
-        } else {
-          std::this_thread::yield();
-        }
-      }
-    });
-  }
-  // Push in bursts so bottom outruns top and forces repeated doublings.
-  for (int i = 0; i < kItems; ++i) {
-    deque.PushBottom(new int64_t(i));
-  }
-  EXPECT_GE(deque.CapacityApprox(), 2);
-  while (delivered.load(std::memory_order_relaxed) < kItems) {
-    if (int64_t* item = deque.PopBottom()) {
-      sum.fetch_add(*item, std::memory_order_relaxed);
-      delivered.fetch_add(1, std::memory_order_relaxed);
-      delete item;
-    } else {
-      std::this_thread::yield();
-    }
-  }
-  for (auto& thief : thieves) {
-    thief.join();
-  }
-  EXPECT_EQ(sum.load(),
-            static_cast<int64_t>(kItems) * (kItems - 1) / 2);
-  EXPECT_EQ(deque.SizeApprox(), 0);
-}
 
 TEST(TsanStressTest, ConcurrentCallersWriteDisjointBuffersRacelessly) {
   // Six external threads share one pool; each repeatedly ParallelFors over
@@ -222,11 +64,11 @@ TEST(TsanStressTest, ConcurrentCallersWriteDisjointBuffersRacelessly) {
 }
 
 TEST(TsanStressTest, NestedStealingUnderConcurrentOuterLoad) {
-  // Nested ParallelFor from pool workers parks chunk runners on the calling
-  // worker's deque for peers to steal, while independent outer callers keep
-  // every deque busy. The stolen runners and the nested caller's own
-  // drain-loop race over the same ParallelCallState — TSan verifies the
-  // claim/done protocol synchronizes them.
+  // Nested ParallelFor from pool workers queues chunk runners for idle
+  // peers to pick up, while independent outer callers keep the queue busy.
+  // Those runners and the nested caller's own drain loop race over the same
+  // ParallelCallState — TSan verifies the claim/done protocol synchronizes
+  // them.
   ThreadPool pool(4);
   std::atomic<long> total{0};
   constexpr int kOuterCallers = 3;
@@ -254,10 +96,10 @@ TEST(TsanStressTest, NestedStealingUnderConcurrentOuterLoad) {
 
 TEST(TsanStressTest, MultiProducerScheduleAndWaitChurn) {
   // Producers burst Schedule()d closures while a separate thread spins
-  // Wait(): the scheduled_in_flight_ counter, the round-robin deque pushes,
-  // and the sleep/wake condvar all see maximum contention. Workers go idle
-  // (empty deques) between bursts, so the atomic-then-sleep window in
-  // WorkerLoop is crossed thousands of times.
+  // Wait(): the scheduled_in_flight_ counter, the queue pushes, and the
+  // sleep/wake condvar all see maximum contention. Workers go idle (empty
+  // queue) between bursts, so the check-then-sleep window in WorkerLoop is
+  // crossed thousands of times.
   ThreadPool pool(3);
   constexpr int kProducers = 4;
   constexpr int kBursts = 50;
@@ -337,7 +179,7 @@ TEST(TsanStressTest, TrainerCohortUnderFaultsIsRacelessAndDeterministic) {
 
 TEST(TsanStressTest, ParallelForAgainstScheduledBackgroundWork) {
   // Schedule()d background closures interleave with foreground ParallelFor
-  // chunks on the same deques: per-call completion tokens and the
+  // chunks on the same queue: per-call completion tokens and the
   // scheduled_in_flight_ counter must never synchronize through each other.
   ThreadPool pool(4);
   std::atomic<int> background{0};

@@ -1,13 +1,18 @@
 // Unit tests for src/util: Status, StatusOr, Rng, ThreadPool, strings, CSV.
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
+#include <string>
+#include <thread>
+#include <utility>
 
 #include <gtest/gtest.h>
 
+#include "tests/test_util.h"
 #include "util/csv.h"
 #include "util/rng.h"
 #include "util/status.h"
@@ -264,17 +269,18 @@ TEST(ThreadPoolTest, ParallelForRangeChunksAreDisjointAndComplete) {
   }
 }
 
-TEST(ThreadPoolTest, NestedParallelForRunsInline) {
+TEST(ThreadPoolTest, NestedParallelForCompletesFromWorkerAndCaller) {
   // A chunk body runs either on a pool worker or on the calling thread (the
   // caller helps drain its own chunks). A nested ParallelFor must complete
-  // from both contexts: inline on a worker (a worker waiting on a nested
-  // token would block the thread that has to drain its deque), scheduled
-  // normally from the helping caller.
+  // from both contexts. From a worker it queues helpers for idle peers and
+  // drains every unclaimed chunk itself, so it never waits on queued work
+  // and its chunks run on pool threads only; from the helping caller it is
+  // an ordinary top-level call.
   ThreadPool pool(2);
   std::atomic<int> counter{0};
   pool.ParallelFor(4, [&](size_t) {
     if (ThreadPool::OnPoolThread()) {
-      // Nested call from a worker: must run inline without touching queues.
+      // Nested call from a worker: every chunk stays on a pool thread.
       pool.ParallelFor(8, [&](size_t) {
         EXPECT_TRUE(ThreadPool::OnPoolThread());
         ++counter;
@@ -300,6 +306,51 @@ TEST(ThreadPoolTest, GlobalPoolIsUsable) {
   std::atomic<int> counter{0};
   GlobalThreadPool().ParallelFor(10, [&](size_t) { ++counter; });
   EXPECT_EQ(counter.load(), 10);
+}
+
+// The global pool is sized once per process, so FEDRA_NUM_THREADS is
+// checked in children that print the size their pool came up with.
+TEST(GlobalThreadPoolEnvTest, ChildPrintsPoolSize) {
+  std::printf("POOLTHREADS %zu\n", GlobalThreadPool().num_threads());
+}
+
+TEST(GlobalThreadPoolEnvTest, EmptyKeepsTheDefaultAndCountsAreTakenAsIs) {
+  if (testing::SkipThreadSweep()) {
+    GTEST_SKIP() << "sweep child, or no /proc/self/exe to re-execute";
+  }
+  const size_t hardware = std::max(1u, std::thread::hardware_concurrency());
+  const std::pair<const char*, size_t> cases[] = {{"", hardware},
+                                                  {"1", 1},
+                                                  {"3", 3}};
+  for (const auto& [value, expected] : cases) {
+    std::string output;
+    EXPECT_EQ(testing::RunWithThreadsValue(
+                  value, "GlobalThreadPoolEnvTest.ChildPrintsPoolSize",
+                  &output),
+              0)
+        << "FEDRA_NUM_THREADS=\"" << value << "\": " << output;
+    EXPECT_NE(output.find("POOLTHREADS " + std::to_string(expected) + "\n"),
+              std::string::npos)
+        << "FEDRA_NUM_THREADS=\"" << value << "\": " << output;
+  }
+}
+
+TEST(GlobalThreadPoolEnvTest, MalformedThreadCountsAbortNamingTheValue) {
+  if (testing::SkipThreadSweep()) {
+    GTEST_SKIP() << "sweep child, or no /proc/self/exe to re-execute";
+  }
+  for (const char* value : {"-1", "0", "four", "4x"}) {
+    std::string output;
+    EXPECT_NE(testing::RunWithThreadsValue(
+                  value, "GlobalThreadPoolEnvTest.ChildPrintsPoolSize",
+                  &output),
+              0)
+        << "FEDRA_NUM_THREADS=\"" << value << "\" was accepted";
+    EXPECT_NE(output.find(std::string("FEDRA_NUM_THREADS=\"") + value + "\""),
+              std::string::npos)
+        << output;
+    EXPECT_EQ(output.find("POOLTHREADS"), std::string::npos) << output;
+  }
 }
 
 // ---------------------------------------------------------------- strings
